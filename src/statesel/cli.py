@@ -21,13 +21,13 @@ import numpy as np
 
 from . import benchgen
 from .cost import rollout_traces
-from .datamodel import SplitSpec, TimeSeriesDataset, emit, ingest, split
-from .dmdc import TruncationPolicy, fit_model, load_model, rollout, save_model
+from .datamodel import SplitSpec, emit, ingest, split
+from .dmdc import StateSpaceModel, TruncationPolicy, load_model, rollout, save_model
 from .errors import DatasetError
 from .ga import GAConfig, ga_select
 from .prefilter import PrefilterConfig, prefilter, write_report_csv
 from .rfe import RFEConfig, rfe_select
-from .selection import SelectionResult
+from .selection import SelectionResult, SubsetEvaluator
 
 ENV_WORKERS = "STATESEL_WORKERS"
 
@@ -148,25 +148,18 @@ def _write_cost_row(writer, method: str, cap: int, result: SelectionResult) -> N
     )
 
 
-def _write_trace_csv(path: Path, model, ds: TimeSeriesDataset, indices) -> None:
-    traces = rollout_traces(model, ds, indices)
+def _write_trace_csv(path: str | Path, model: StateSpaceModel, rows) -> None:
+    """Write ``(realization, predicted, truth)`` blocks, one line per step and
+    channel; block rows follow the model's states, then its outputs."""
     names = list(model.state_names) + list(model.output_names)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["realization", "step", "channel", "predicted", "truth"])
-        for tr in traces:
-            pred = np.vstack([tr["pred_x"], tr["pred_y"]])
-            true = np.vstack([tr["true_x"], tr["true_y"]])
+        for r, pred, true in rows:
             for c, name in enumerate(names):
                 for k in range(pred.shape[1]):
                     writer.writerow(
-                        [
-                            tr["realization"],
-                            k + 1,
-                            name,
-                            repr(float(pred[c, k])),
-                            repr(float(true[c, k])),
-                        ]
+                        [r, k + 1, name, repr(float(pred[c, k])), repr(float(true[c, k]))]
                     )
 
 
@@ -187,8 +180,7 @@ def cmd_select(args: argparse.Namespace) -> int:
     train, test = split(ds, SplitSpec(cfg.train_fraction))
     report = prefilter(train, PrefilterConfig(**cfg.prefilter))
     write_report_csv(report, train, out / "prefilter_report.csv")
-    policy = TruncationPolicy(**cfg.truncation)
-    scale_floor = cfg.cost.get("scale_floor", 1e-9)
+    evaluator = SubsetEvaluator(train, TruncationPolicy(**cfg.truncation), **cfg.cost)
 
     methods = ["rfe", "ga"] if cfg.method == "both" else [cfg.method]
     with open(out / "cost_table.csv", "w", newline="") as fh:
@@ -197,28 +189,25 @@ def cmd_select(args: argparse.Namespace) -> int:
         for cap in cfg.caps:
             for method in methods:
                 if method == "rfe":
-                    rcfg = RFEConfig(
-                        max_states=cap,
-                        truncation=policy,
-                        scale_floor=scale_floor,
-                        **cfg.rfe,
-                    )
-                    result = rfe_select(train, test, report.kept, rcfg, workers=cfg.workers)
+                    rcfg = RFEConfig(max_states=cap, **cfg.rfe)
+                    result = rfe_select(evaluator, test, report.kept, rcfg, workers=cfg.workers)
                 else:
-                    gcfg = GAConfig(
-                        max_states=cap,
-                        seed=cfg.seed,
-                        truncation=policy,
-                        scale_floor=scale_floor,
-                        **cfg.ga,
-                    )
-                    result = ga_select(train, test, report.kept, gcfg, workers=cfg.workers)
+                    gcfg = GAConfig(max_states=cap, seed=cfg.seed, **cfg.ga)
+                    result = ga_select(evaluator, test, report.kept, gcfg, workers=cfg.workers)
                 _write_cost_row(writer, method, cap, result)
                 tag = f"{method}_cap{cap}"
                 result.save(out / f"selection_{tag}.json")
-                model = fit_model(train, list(result.indices), policy)
-                save_model(model, out / f"model_{tag}.json")
-                _write_trace_csv(out / f"trace_{tag}.csv", model, test, result.indices)
+                save_model(result.model, out / f"model_{tag}.json")
+                traces = rollout_traces(result.model, test, result.indices)
+                rows = [
+                    (
+                        tr["realization"],
+                        np.vstack([tr["pred_x"], tr["pred_y"]]),
+                        np.vstack([tr["true_x"], tr["true_y"]]),
+                    )
+                    for tr in traces
+                ]
+                _write_trace_csv(out / f"trace_{tag}.csv", result.model, rows)
                 if method == "ga":
                     with open(out / f"ga_trace_cap{cap}.csv", "w", newline="") as gfh:
                         gw = csv.writer(gfh)
@@ -242,23 +231,15 @@ def cmd_predict(args: argparse.Namespace) -> int:
     except DatasetError as exc:
         raise DatasetError(f"model channels missing from dataset: {exc}") from exc
     _, test = split(ds, SplitSpec(args.train_fraction))
-    names = list(model.state_names) + list(model.output_names)
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["realization", "step", "channel", "predicted", "truth"])
-        for r, arr in enumerate(test.realizations):
-            horizon = min(args.horizon, arr.shape[1] - 1)
-            if horizon < 1:
-                continue
-            V = arr[in_idx, :horizon]
-            Xh, Yh = rollout(model, arr[state_idx, 0], V)
-            pred = np.vstack([Xh, Yh])
-            true = np.vstack([arr[state_idx, 1 : horizon + 1], arr[out_idx, 1 : horizon + 1]])
-            for c, name in enumerate(names):
-                for k in range(horizon):
-                    writer.writerow(
-                        [r, k + 1, name, repr(float(pred[c, k])), repr(float(true[c, k]))]
-                    )
+    rows = []
+    for r, arr in enumerate(test.realizations):
+        horizon = min(args.horizon, arr.shape[1] - 1)
+        if horizon < 1:
+            continue
+        Xh, Yh = rollout(model, arr[state_idx, 0], arr[in_idx, :horizon])
+        true = np.vstack([arr[state_idx, 1 : horizon + 1], arr[out_idx, 1 : horizon + 1]])
+        rows.append((r, np.vstack([Xh, Yh]), true))
+    _write_trace_csv(args.out, model, rows)
     print(f"wrote prediction trace to {args.out}")
     return 0
 

@@ -98,39 +98,15 @@ def cost(
     return CostBreakdown(J=j_state + j_output, J_state=j_state, J_output=j_output, n=n, p=p, L=L)
 
 
-def rollout_cost(
-    model: StateSpaceModel,
-    ds: TimeSeriesDataset,
-    state_idx: Sequence[int],
-    scales: ChannelScales,
-) -> CostBreakdown:
-    """Roll the model out over every realization of ``ds`` and score it.
-
-    Each rollout starts from the realization's true initial state and is
-    driven by the recorded inputs; steps ``1..l-1`` are compared against the
-    recorded states and outputs, realizations concatenated columnwise.
-    """
-    preds_x, preds_y, truth_x, truth_y = [], [], [], []
-    state_idx = list(state_idx)
-    in_idx = list(ds.input_indices)
-    out_idx = list(ds.output_indices)
-    for arr in ds.realizations:
-        x0 = arr[state_idx, 0]
-        V = arr[in_idx, :-1]
-        Xh, Yh = rollout(model, x0, V)
-        preds_x.append(Xh)
-        preds_y.append(Yh)
-        truth_x.append(arr[state_idx, 1:])
-        truth_y.append(arr[out_idx, 1:])
-    return cost(
-        np.hstack(preds_x), np.hstack(preds_y), np.hstack(truth_x), np.hstack(truth_y), scales
-    )
-
-
 def rollout_traces(
     model: StateSpaceModel, ds: TimeSeriesDataset, state_idx: Sequence[int]
 ) -> list[dict]:
-    """Per-realization predicted and true trajectories for reporting."""
+    """Per-realization predicted and true trajectories.
+
+    Each rollout starts from the realization's true initial state and is
+    driven by the recorded inputs; steps ``1..l-1`` are paired with the
+    recorded states and outputs.
+    """
     out = []
     state_idx = list(state_idx)
     in_idx = list(ds.input_indices)
@@ -147,3 +123,16 @@ def rollout_traces(
             }
         )
     return out
+
+
+def rollout_cost(
+    model: StateSpaceModel,
+    ds: TimeSeriesDataset,
+    state_idx: Sequence[int],
+    scales: ChannelScales,
+) -> CostBreakdown:
+    """Score ``rollout_traces`` over every realization of ``ds``, realizations
+    concatenated columnwise."""
+    traces = rollout_traces(model, ds, state_idx)
+    keys = ("pred_x", "pred_y", "true_x", "true_y")
+    return cost(*(np.hstack([tr[k] for tr in traces]) for k in keys), scales)

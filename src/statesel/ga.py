@@ -13,19 +13,18 @@ results are reproducible and independent of how restarts are scheduled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Sequence
 
 import numpy as np
 
-from .cost import rollout_cost
 from .datamodel import TimeSeriesDataset
-from .dmdc import TruncationPolicy
 from .errors import DatasetError
 from .selection import (
     SelectionResult,
     SubsetEvaluator,
+    finish_winner,
     run_restarts,
     subset_key,
 )
@@ -37,7 +36,8 @@ class GAConfig:
 
     ``None`` values are resolved against the genome length when the search
     starts: elite count is 5% of the population, mutation rate is
-    ``1/genome`` and the generation cap is ``100 * genome``.
+    ``1/genome`` and the generation cap is ``100 * genome``. Truncation and
+    cost scales come from the ``SubsetEvaluator`` the search is given.
     """
 
     max_states: int
@@ -50,8 +50,6 @@ class GAConfig:
     mutation_rate: float | None = None
     restarts: int = 10
     seed: int = 0
-    truncation: TruncationPolicy = field(default_factory=TruncationPolicy)
-    scale_floor: float = 1e-9
 
     def __post_init__(self):
         if self.max_states < 1:
@@ -118,17 +116,14 @@ def _rank_keys(
 
 def _run_restart(
     restart: int,
-    train: TimeSeriesDataset,
     pool: tuple[int, ...],
     cfg: GAConfig,
-    evaluator: SubsetEvaluator | None = None,
+    evaluator: SubsetEvaluator,
 ) -> dict:
     """One seeded GA run; returns its best mask, cost, and trace."""
     genome = len(pool)
     resolved = cfg.resolve(genome)
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)[restart])
-    if evaluator is None:
-        evaluator = SubsetEvaluator(train, cfg.truncation, cfg.scale_floor)
 
     p_init = min(0.5, cfg.max_states / genome)
     population = rng.random((cfg.population_size, genome)) < p_init
@@ -189,7 +184,7 @@ def _run_restart(
 
 
 def ga_select(
-    train: TimeSeriesDataset,
+    evaluator: SubsetEvaluator,
     test: TimeSeriesDataset,
     pool: Sequence[int],
     cfg: GAConfig,
@@ -197,28 +192,16 @@ def ga_select(
 ) -> SelectionResult:
     """Best-of-restarts GA search over the kept candidate pool.
 
-    Restarts are independent and may run in parallel; the fitness cache is
-    shared across restarts only in the serial path, which changes speed but
-    never results.
+    Restarts are independent and may run in parallel. Serial restarts share
+    ``evaluator``'s cache; each restart run in a worker starts from a copy of
+    it and keeps its own fits. Either way changes speed but never results.
     """
     pool = tuple(sorted(set(pool)))
     if not pool:
         raise DatasetError("candidate pool is empty")
-    if workers <= 1:
-        evaluator = SubsetEvaluator(train, cfg.truncation, cfg.scale_floor)
-        runs = [
-            _run_restart(r, train, pool, cfg, evaluator) for r in range(cfg.restarts)
-        ]
-    else:
-        fn = partial(_run_restart, train=train, pool=pool, cfg=cfg)
-        runs = run_restarts(fn, cfg.restarts, workers=workers)
-        evaluator = SubsetEvaluator(train, cfg.truncation, cfg.scale_floor)
-
+    fn = partial(_run_restart, pool=pool, cfg=cfg, evaluator=evaluator)
+    runs = run_restarts(fn, cfg.restarts, workers)
     best_run = min(runs, key=lambda r: subset_key(r["best_j"], r["best_subset"]))
-    winner = tuple(best_run["best_subset"])
-    j_train = evaluator.breakdown(winner)
-    model = evaluator.fit(winner)
-    j_test = rollout_cost(model, test, winner, evaluator.scales_for(winner))
     restart_js = [r["best_j"] for r in runs]
     diagnostics = {
         "restart_best": [
@@ -229,11 +212,5 @@ def ga_select(
         "j_restart_median": float(np.median(restart_js)),
         "trace": best_run["trace"],
     }
-    return SelectionResult(
-        indices=winner,
-        names=tuple(train.names[i] for i in winner),
-        method="ga",
-        j_train=j_train,
-        j_test=j_test,
-        diagnostics=diagnostics,
-    )
+    best = subset_key(best_run["best_j"], best_run["best_subset"])
+    return finish_winner(evaluator, test, best, "ga", diagnostics)

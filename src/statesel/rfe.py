@@ -22,18 +22,23 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Sequence
 
 import numpy as np
 
-from .cost import pooled_std, rollout_cost
 from .datamodel import TimeSeriesDataset, assemble_snapshots
-from .dmdc import TruncationPolicy, fit_dynamics, fit_output_map
+from .dmdc import fit_dynamics, fit_output_map
 from .errors import DatasetError, DegenerateSnapshots, MergedPoolTooLarge
 from .prefilter import correlation
-from .selection import SelectionResult, SubsetEvaluator, evaluate_subsets, subset_key
+from .selection import (
+    SelectionResult,
+    SubsetEvaluator,
+    evaluate_subsets,
+    finish_winner,
+    subset_key,
+)
 
 
 @dataclass(frozen=True)
@@ -56,14 +61,13 @@ class RFEConfig:
     drops ``max(1, floor(block_fraction * survivors))`` variables (clamped so
     the chain lands exactly on the cap); ``cross_top_k`` candidates are
     imported per ordered subsystem pair; the exhaustive sweep refuses merged
-    pools larger than ``search_limit``.
+    pools larger than ``search_limit``. Truncation and cost scales come from
+    the ``SubsetEvaluator`` the stages are given.
     """
 
     max_states: int
     block_fraction: float = 0.2
     cross_top_k: int = 2
-    truncation: TruncationPolicy = field(default_factory=TruncationPolicy)
-    scale_floor: float = 1e-9
     search_limit: int = 24
     weak_import_threshold: float = 0.2
 
@@ -101,17 +105,16 @@ def importance(Cd: np.ndarray) -> ImportanceMatrix:
 
 
 def _mean_importance(
-    train: TimeSeriesDataset,
+    evaluator: SubsetEvaluator,
     survivors: list[int],
-    cfg: RFEConfig,
     y_rows: list[int] | None,
 ) -> np.ndarray:
-    snaps = assemble_snapshots(train, survivors)
+    snaps = assemble_snapshots(evaluator.train, survivors)
     Y = snaps.Y if y_rows is None else snaps.Y[y_rows]
     # full model fit per iteration; the dynamics fit also detects a
     # degenerate stacked snapshot matrix that the output fit alone misses
-    fit_dynamics(snaps, cfg.truncation)
-    Cd = fit_output_map(snaps.X, Y, cfg.truncation)
+    fit_dynamics(snaps, evaluator.policy)
+    Cd = fit_output_map(snaps.X, Y, evaluator.policy)
     return importance(Cd).mean
 
 
@@ -125,7 +128,7 @@ class RfeRanking:
 
 
 def rfe_rank(
-    train: TimeSeriesDataset,
+    evaluator: SubsetEvaluator,
     pool: Sequence[int],
     cfg: RFEConfig,
     output_idx: Sequence[int] | None = None,
@@ -139,26 +142,26 @@ def rfe_rank(
     the lowest-variance survivors instead.
 
     ``output_idx`` restricts scoring to a subset of output channels (manifest
-    indices); the default uses all outputs.
+    indices); the default uses all outputs. The fits use the evaluator's
+    training set and truncation policy.
     """
     survivors = sorted(set(pool))
     if not survivors:
         raise DatasetError("candidate pool is empty")
     y_rows = None
     if output_idx is not None:
-        all_outputs = list(train.output_indices)
+        all_outputs = list(evaluator.train.output_indices)
         y_rows = [all_outputs.index(i) for i in output_idx]
         if not y_rows:
             y_rows = None
-    std = pooled_std(train)
     eliminated: list[int] = []
     iterations = 0
     while len(survivors) > cfg.max_states:
         iterations += 1
         try:
-            score = _mean_importance(train, survivors, cfg, y_rows)
+            score = _mean_importance(evaluator, survivors, y_rows)
         except DegenerateSnapshots:
-            score = std[survivors]
+            score = evaluator.std[survivors]
         k = max(1, math.floor(cfg.block_fraction * len(survivors)))
         k = min(k, len(survivors) - cfg.max_states)
         # ascending score, ties resolved against the higher channel index
@@ -172,7 +175,7 @@ def rfe_rank(
 
 
 def within_subsystem_rfe(
-    train: TimeSeriesDataset,
+    evaluator: SubsetEvaluator,
     pool: Sequence[int],
     cfg: RFEConfig,
 ) -> dict[str, RfeRanking]:
@@ -183,6 +186,7 @@ def within_subsystem_rfe(
     channels when it has any (all outputs otherwise). Subsystems without
     candidates in the pool are skipped with a warning.
     """
+    train = evaluator.train
     groups: dict[str, list[int]] = {}
     for idx in pool:
         groups.setdefault(train.manifest[idx].subsystem, []).append(idx)
@@ -200,7 +204,7 @@ def within_subsystem_rfe(
             i for i in train.output_indices if train.manifest[i].subsystem == label
         ]
         shortlists[label] = rfe_rank(
-            train, groups[label], sub_cfg, output_idx=own_outputs or None
+            evaluator, groups[label], sub_cfg, output_idx=own_outputs or None
         )
     return shortlists
 
@@ -270,7 +274,7 @@ def enumerate_subsets(pool: Sequence[int], max_size: int) -> list[tuple[int, ...
 
 
 def merged_search(
-    train: TimeSeriesDataset,
+    evaluator: SubsetEvaluator,
     test: TimeSeriesDataset,
     pool: Sequence[int],
     cfg: RFEConfig,
@@ -280,9 +284,10 @@ def merged_search(
 ) -> SelectionResult:
     """Exhaustive cost-minimizing sweep over the merged pool (step III).
 
-    Every nonempty subset of ``pool`` up to ``max_states`` is fitted and
-    scored on training; the winner minimizes (J, size, indices). The test
-    cost is evaluated once, for the winner only.
+    Every nonempty subset of ``pool`` up to ``max_states`` is scored on
+    training through ``evaluator``, which fits only those not in its cache;
+    the winner minimizes (J, size, indices). The test cost is evaluated once,
+    for the winner only.
     """
     pool = sorted(set(pool))
     if not pool:
@@ -293,30 +298,16 @@ def merged_search(
             f"{cfg.search_limit}. Lower max_states or cross_top_k to shrink the pool."
         )
     subsets = enumerate_subsets(pool, cfg.max_states)
-    evaluator = SubsetEvaluator(train, cfg.truncation, cfg.scale_floor)
     scores = evaluate_subsets(subsets, evaluator, workers=workers)
     best = min(subset_key(j, s) for j, s in zip(scores, subsets))
-    if not math.isfinite(best[0]):
-        raise DegenerateSnapshots("every subset in the merged pool failed to fit")
-    winner = best[2]
-    j_train = evaluator.breakdown(winner)
-    model = evaluator.fit(winner)
-    j_test = rollout_cost(model, test, winner, evaluator.scales_for(winner))
     diag = dict(diagnostics or {})
     diag["subsets_examined"] = len(subsets)
     diag["merged_pool"] = list(pool)
-    return SelectionResult(
-        indices=winner,
-        names=tuple(train.names[i] for i in winner),
-        method=method,
-        j_train=j_train,
-        j_test=j_test,
-        diagnostics=diag,
-    )
+    return finish_winner(evaluator, test, best, method, diag)
 
 
 def rfe_select(
-    train: TimeSeriesDataset,
+    evaluator: SubsetEvaluator,
     test: TimeSeriesDataset,
     pool: Sequence[int],
     cfg: RFEConfig,
@@ -324,9 +315,9 @@ def rfe_select(
 ) -> SelectionResult:
     """Full three-step workflow: per-subsystem elimination, cross-subsystem
     imports, and the exhaustive merged sweep."""
-    shortlists = within_subsystem_rfe(train, pool, cfg)
+    shortlists = within_subsystem_rfe(evaluator, pool, cfg)
     imports = cross_influence(
-        train, pool, {k: v.survivors for k, v in shortlists.items()}, cfg
+        evaluator.train, pool, {k: v.survivors for k, v in shortlists.items()}, cfg
     )
     merged = sorted(
         {i for r in shortlists.values() for i in r.survivors}
@@ -344,5 +335,5 @@ def rfe_select(
         },
     }
     return merged_search(
-        train, test, merged, cfg, workers=workers, method="rfe", diagnostics=diagnostics
+        evaluator, test, merged, cfg, workers=workers, method="rfe", diagnostics=diagnostics
     )

@@ -4,11 +4,16 @@ Both selection methods score a candidate subset the same way: assemble
 training snapshots for the subset, fit the discrete model, roll it out over
 the training realizations from their true initial states, and evaluate the
 normalized MSE cost. ``SubsetEvaluator`` wraps that pipeline with a memo cache
-keyed by the subset, so repeated queries cost a single fit.
+keyed by the subset, so repeated queries cost a single fit. One evaluator is
+built per selection run and holds its training set, truncation policy, scale
+floor and cache; every selector and every cap of the run share it, so a
+subset scored by one is never fitted again by another.
 
 Evaluations are pure functions of (training data, subset, configuration), so
 distributing them over a worker pool and reducing with a total order gives
-results independent of the worker count.
+results independent of the worker count. Pool workers return cost breakdowns
+that land in the parent's cache, so serial and parallel callers see the same
+cache.
 """
 
 from __future__ import annotations
@@ -36,7 +41,8 @@ class SelectionResult:
 
     ``indices`` are manifest indices of kept candidate channels, sorted
     ascending. ``diagnostics`` carries per-stage artifacts (elimination order,
-    shortlists, imports, search trace) and is JSON-serializable.
+    shortlists, imports, search trace) and is JSON-serializable. ``model`` is
+    the winner's fitted model; it is not part of the saved document.
     """
 
     indices: tuple[int, ...]
@@ -45,6 +51,7 @@ class SelectionResult:
     j_train: CostBreakdown
     j_test: CostBreakdown
     diagnostics: dict = field(default_factory=dict)
+    model: StateSpaceModel = field(default=None, compare=False, repr=False)
 
     def to_dict(self) -> dict:
         def breakdown(b: CostBreakdown) -> dict:
@@ -71,7 +78,11 @@ class SelectionResult:
 
 
 class SubsetEvaluator:
-    """Fit-and-score pipeline for candidate subsets on a fixed training set."""
+    """Fit-and-score pipeline for candidate subsets on a fixed training set.
+
+    ``fit_count`` counts the model fits made in this process, cache misses
+    and winner fits alike; fits made by pool workers are not counted.
+    """
 
     def __init__(
         self,
@@ -82,16 +93,17 @@ class SubsetEvaluator:
         self.train = train
         self.policy = policy or TruncationPolicy()
         self.scale_floor = scale_floor
-        self._std = pooled_std(train)
-        self._sigma_y = np.maximum(self._std[list(train.output_indices)], scale_floor)
+        self.std = pooled_std(train)
+        self._sigma_y = np.maximum(self.std[list(train.output_indices)], scale_floor)
         self._cache: dict[tuple[int, ...], CostBreakdown | None] = {}
         self.fit_count = 0
 
     def scales_for(self, subset: Sequence[int]) -> ChannelScales:
-        sigma_x = np.maximum(self._std[list(subset)], self.scale_floor)
+        sigma_x = np.maximum(self.std[list(subset)], self.scale_floor)
         return ChannelScales(sigma_x=sigma_x, sigma_y=self._sigma_y, floor=self.scale_floor)
 
     def fit(self, subset: Sequence[int]) -> StateSpaceModel:
+        self.fit_count += 1
         return fit_model(self.train, list(subset), self.policy)
 
     def breakdown(self, subset: Sequence[int]) -> CostBreakdown | None:
@@ -100,13 +112,10 @@ class SubsetEvaluator:
         if key in self._cache:
             return self._cache[key]
         try:
-            model = self.fit(key)
-            self.fit_count += 1
-            result = rollout_cost(model, self.train, key, self.scales_for(key))
+            result = rollout_cost(self.fit(key), self.train, key, self.scales_for(key))
             if not math.isfinite(result.J):
                 result = None
         except DegenerateSnapshots:
-            self.fit_count += 1
             result = None
         self._cache[key] = result
         return result
@@ -125,6 +134,31 @@ def subset_key(j: float, subset: Sequence[int]) -> tuple[float, int, tuple[int, 
     return (j, len(t), t)
 
 
+def finish_winner(
+    evaluator: SubsetEvaluator,
+    test: TimeSeriesDataset,
+    best: tuple[float, int, tuple[int, ...]],
+    method: str,
+    diagnostics: dict,
+) -> SelectionResult:
+    """Result for the subset that won under ``subset_key``: its cached training
+    cost, one fit of its model, and that model's cost on ``test``."""
+    j, _, winner = best
+    if not math.isfinite(j):
+        raise DegenerateSnapshots("every candidate subset failed to fit")
+    j_train = evaluator.breakdown(winner)
+    model = evaluator.fit(winner)
+    return SelectionResult(
+        indices=winner,
+        names=tuple(evaluator.train.names[i] for i in winner),
+        method=method,
+        j_train=j_train,
+        j_test=rollout_cost(model, test, winner, evaluator.scales_for(winner)),
+        diagnostics=diagnostics,
+        model=model,
+    )
+
+
 # --- deterministic parallel evaluation -------------------------------------
 
 _WORKER_EVAL: SubsetEvaluator | None = None
@@ -135,9 +169,9 @@ def _init_worker(train: TimeSeriesDataset, policy: TruncationPolicy, scale_floor
     _WORKER_EVAL = SubsetEvaluator(train, policy, scale_floor)
 
 
-def _eval_chunk(chunk: list[tuple[int, ...]]) -> list[float]:
+def _eval_chunk(chunk: list[tuple[int, ...]]) -> list[CostBreakdown | None]:
     assert _WORKER_EVAL is not None
-    return [_WORKER_EVAL.evaluate(s) for s in chunk]
+    return [_WORKER_EVAL.breakdown(s) for s in chunk]
 
 
 def evaluate_subsets(
@@ -147,24 +181,26 @@ def evaluate_subsets(
 ) -> list[float]:
     """Score many subsets, optionally across processes.
 
-    The returned list is aligned with ``subsets`` regardless of scheduling, so
-    any reduction over it is worker-count independent.
+    Workers score only the distinct subsets missing from ``evaluator``'s cache
+    and their breakdowns are stored there. The returned list is aligned with
+    ``subsets`` regardless of scheduling, so any reduction over it is
+    worker-count independent.
     """
-    if workers <= 1 or len(subsets) < 4:
-        return [evaluator.evaluate(s) for s in subsets]
-    n_chunks = workers * 4
-    size = max(1, math.ceil(len(subsets) / n_chunks))
-    chunks = [subsets[i : i + size] for i in range(0, len(subsets), size)]
-    with ProcessPoolExecutor(
-        max_workers=workers,
-        initializer=_init_worker,
-        initargs=(evaluator.train, evaluator.policy, evaluator.scale_floor),
-    ) as pool:
-        results = list(pool.map(_eval_chunk, chunks))
-    flat: list[float] = []
-    for part in results:
-        flat.extend(part)
-    return flat
+    todo = []
+    if workers > 1:
+        keys = dict.fromkeys(tuple(sorted(s)) for s in subsets)
+        todo = [k for k in keys if k not in evaluator._cache]
+    if len(todo) >= 4:
+        size = math.ceil(len(todo) / (workers * 4))
+        chunks = [todo[i : i + size] for i in range(0, len(todo), size)]
+        with ProcessPoolExecutor(
+            max_workers=workers,
+            initializer=_init_worker,
+            initargs=(evaluator.train, evaluator.policy, evaluator.scale_floor),
+        ) as pool:
+            for chunk, part in zip(chunks, pool.map(_eval_chunk, chunks)):
+                evaluator._cache.update(zip(chunk, part))
+    return [evaluator.evaluate(s) for s in subsets]
 
 
 def run_restarts(

@@ -67,9 +67,9 @@ def test_criterion_2_rlc_end_to_end(rlc_dataset, rlc_split):
     kept = prefilter(train).kept
     assert len(kept) == 8
 
-    rfe_res = rfe_select(train, test, kept, RFEConfig(max_states=8))
+    rfe_res = rfe_select(SubsetEvaluator(train), test, kept, RFEConfig(max_states=8))
     ga_res = ga_select(
-        train, test, kept, GAConfig(max_states=8, population_size=48, restarts=3, seed=11)
+        SubsetEvaluator(train), test, kept, GAConfig(max_states=8, population_size=48, restarts=3, seed=11)
     )
     assert len(rfe_res.indices) == 2
     assert len(ga_res.indices) == 2
@@ -119,7 +119,7 @@ def test_criterion_3_ga_stability(rlc_split):
     train, test = rlc_split
     kept = prefilter(train).kept
     res = ga_select(
-        train, test, kept, GAConfig(max_states=8, population_size=48, restarts=100, seed=123)
+        SubsetEvaluator(train), test, kept, GAConfig(max_states=8, population_size=48, restarts=100, seed=123)
     )
     selections = {tuple(r["indices"]) for r in res.diagnostics["restart_best"]}
     assert len(selections) == 1
@@ -198,7 +198,7 @@ def test_criterion_7_overshadowing_mitigation(coupled_dataset, coupled_split, co
     labels = coupled_dataset.manifest
 
     # (a) naive whole-pool elimination at cap 2 stays inside the high-gain block
-    naive = rfe_rank(train, coupled_kept, RFEConfig(max_states=2))
+    naive = rfe_rank(SubsetEvaluator(train), coupled_kept, RFEConfig(max_states=2))
     naive_subsystems = {labels[i].subsystem for i in naive.survivors}
     assert naive_subsystems == {"A"}
 
@@ -214,7 +214,7 @@ def test_criterion_7_overshadowing_mitigation(coupled_dataset, coupled_split, co
     assert jt_naive > 10.0 * jt_opt
 
     # (b) the three-step workflow recovers the cross-subsystem optimum
-    res = rfe_select(train, test, coupled_kept, RFEConfig(max_states=2))
+    res = rfe_select(SubsetEvaluator(train), test, coupled_kept, RFEConfig(max_states=2))
     zx = res.diagnostics["merged_pool"]
     assert len(zx) <= 10
     assert {labels[i].subsystem for i in res.indices} == {"A", "B"}
@@ -234,7 +234,7 @@ def test_criterion_7_overshadowing_mitigation(coupled_dataset, coupled_split, co
 def test_criterion_8_parallel_determinism(coupled_split, coupled_kept):
     train, test = coupled_split
     merged = [
-        merged_search(train, test, coupled_kept, RFEConfig(max_states=3), workers=w).to_dict()
+        merged_search(SubsetEvaluator(train), test, coupled_kept, RFEConfig(max_states=3), workers=w).to_dict()
         for w in (1, 4, 8)
     ]
     assert merged[0] == merged[1] == merged[2]
@@ -246,7 +246,7 @@ def test_criterion_8_parallel_determinism(coupled_split, coupled_kept):
         stall_generations=8,
         max_generations=40,
     )
-    ga = [ga_select(train, test, coupled_kept, cfg, workers=w).to_dict() for w in (1, 4, 8)]
+    ga = [ga_select(SubsetEvaluator(train), test, coupled_kept, cfg, workers=w).to_dict() for w in (1, 4, 8)]
     assert ga[0] == ga[1] == ga[2]
     report(8, "merged_search and ga_select bit-identical for worker counts 1, 4, 8")
 
@@ -254,7 +254,7 @@ def test_criterion_8_parallel_determinism(coupled_split, coupled_kept):
 def test_criterion_9_cost_vs_cap_trend(coupled_split, coupled_kept):
     train, test = coupled_split
     caps = (3, 6, 9, 12)
-    results = {c: rfe_select(train, test, coupled_kept, RFEConfig(max_states=c)) for c in caps}
+    results = {c: rfe_select(SubsetEvaluator(train), test, coupled_kept, RFEConfig(max_states=c)) for c in caps}
     j_train = [results[c].j_train.J for c in caps]
     assert all(a >= b - 1e-15 for a, b in zip(j_train, j_train[1:]))
     counts = {c: len(results[c].indices) for c in caps}

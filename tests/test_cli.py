@@ -127,19 +127,22 @@ class TestSelect:
     def test_worker_flag_does_not_change_numbers(self, synth_run):
         root, cfg_path, _ = synth_run
         cfg = json.loads(cfg_path.read_text())
-        cfg["method"] = "rfe"
-        out2, out4 = str(root / "w2"), str(root / "w4")
-        cfg["out"] = out2
+        cfg["method"] = "both"
+        out2, out4 = root / "w2", root / "w4"
+        cfg["out"] = str(out2)
         p2 = root / "run_w2.json"
         p2.write_text(json.dumps(cfg))
         assert main(["select", "--config", str(p2), "--workers", "2"]) == 0
-        cfg["out"] = out4
+        cfg["out"] = str(out4)
         p4 = root / "run_w4.json"
         p4.write_text(json.dumps(cfg))
         assert main(["select", "--config", str(p4), "--workers", "4"]) == 0
-        a = (Path(out2) / "cost_table.csv").read_text()
-        b = (Path(out4) / "cost_table.csv").read_text()
-        assert a == b
+        names = sorted(p.name for p in out2.iterdir())
+        assert names == sorted(p.name for p in out4.iterdir())
+        assert "selection_ga_cap3.json" in names
+        for name in names:
+            if name != "config.json":  # echoes the output directory and worker count
+                assert (out2 / name).read_bytes() == (out4 / name).read_bytes(), name
 
     def test_env_var_sets_workers(self, synth_run, monkeypatch):
         root, cfg_path, _ = synth_run

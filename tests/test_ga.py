@@ -97,7 +97,7 @@ class TestGaSelect:
         ds, train, test = lti_split
         pool = ds.candidate_indices
         assert len(pool) == 4
-        res = ga_select(train, test, pool, small_cfg())
+        res = ga_select(SubsetEvaluator(train), test, pool, small_cfg())
         ev = SubsetEvaluator(train)
         keys = [
             subset_key(ev.evaluate(s), s)
@@ -112,31 +112,31 @@ class TestGaSelect:
     def test_seeded_determinism(self, lti_split):
         ds, train, test = lti_split
         pool = ds.candidate_indices
-        r1 = ga_select(train, test, pool, small_cfg())
-        r2 = ga_select(train, test, pool, small_cfg())
+        r1 = ga_select(SubsetEvaluator(train), test, pool, small_cfg())
+        r2 = ga_select(SubsetEvaluator(train), test, pool, small_cfg())
         assert r1.to_dict() == r2.to_dict()
 
     def test_different_seed_allowed_to_differ_but_valid(self, lti_split):
         ds, train, test = lti_split
-        res = ga_select(train, test, ds.candidate_indices, small_cfg(seed=99))
+        res = ga_select(SubsetEvaluator(train), test, ds.candidate_indices, small_cfg(seed=99))
         assert 1 <= len(res.indices) <= 2
 
     def test_best_trace_monotone(self, lti_split):
         ds, train, test = lti_split
-        res = ga_select(train, test, ds.candidate_indices, small_cfg())
+        res = ga_select(SubsetEvaluator(train), test, ds.candidate_indices, small_cfg())
         trace = res.diagnostics["trace"]
         assert all(a >= b for a, b in zip(trace, trace[1:]))
 
     def test_cap_respected(self, lti_split):
         ds, train, test = lti_split
-        res = ga_select(train, test, ds.candidate_indices, small_cfg(max_states=3))
+        res = ga_select(SubsetEvaluator(train), test, ds.candidate_indices, small_cfg(max_states=3))
         assert 1 <= len(res.indices) <= 3
         for r in res.diagnostics["restart_best"]:
             assert 1 <= len(r["indices"]) <= 3
 
     def test_best_of_restarts_dominates_median(self, lti_split):
         ds, train, test = lti_split
-        res = ga_select(train, test, ds.candidate_indices, small_cfg(restarts=5))
+        res = ga_select(SubsetEvaluator(train), test, ds.candidate_indices, small_cfg(restarts=5))
         d = res.diagnostics
         assert d["j_restart_best"] <= d["j_restart_median"]
         assert res.j_train.J == d["j_restart_best"]
@@ -144,19 +144,19 @@ class TestGaSelect:
     def test_worker_count_does_not_change_result(self, lti_split):
         ds, train, test = lti_split
         cfg = small_cfg(restarts=4)
-        serial = ga_select(train, test, ds.candidate_indices, cfg, workers=1)
-        parallel = ga_select(train, test, ds.candidate_indices, cfg, workers=2)
+        serial = ga_select(SubsetEvaluator(train), test, ds.candidate_indices, cfg, workers=1)
+        parallel = ga_select(SubsetEvaluator(train), test, ds.candidate_indices, cfg, workers=2)
         assert serial.to_dict() == parallel.to_dict()
 
     def test_empty_pool_rejected(self, lti_split):
         _, train, test = lti_split
         with pytest.raises(DatasetError):
-            ga_select(train, test, (), small_cfg())
+            ga_select(SubsetEvaluator(train), test, (), small_cfg())
 
     def test_generation_cap_stops_search(self, lti_split):
         ds, train, test = lti_split
         res = ga_select(
-            train, test, ds.candidate_indices, small_cfg(max_generations=3, restarts=2)
+            SubsetEvaluator(train), test, ds.candidate_indices, small_cfg(max_generations=3, restarts=2)
         )
         for r in res.diagnostics["restart_best"]:
             assert r["generations"] <= 3

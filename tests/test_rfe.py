@@ -134,7 +134,7 @@ def exact_two_state_dataset(n_extra_noise=1, steps=600, seed=0):
 class TestRfeRank:
     def test_pool_at_cap_untouched(self):
         ds = exact_two_state_dataset(n_extra_noise=0)
-        ranking = rfe_rank(ds, ds.candidate_indices, RFEConfig(max_states=2))
+        ranking = rfe_rank(SubsetEvaluator(ds), ds.candidate_indices, RFEConfig(max_states=2))
         assert ranking.survivors == tuple(ds.candidate_indices)
         assert ranking.eliminated == ()
         assert ranking.iterations == 0
@@ -142,7 +142,7 @@ class TestRfeRank:
     def test_noise_channel_eliminated_before_cap(self):
         ds = exact_two_state_dataset(n_extra_noise=2)
         pool = ds.candidate_indices
-        ranking = rfe_rank(ds, pool, RFEConfig(max_states=2))
+        ranking = rfe_rank(SubsetEvaluator(ds), pool, RFEConfig(max_states=2))
         noise_idx = {ds.index_of("noise1"), ds.index_of("noise2")}
         assert noise_idx <= set(ranking.eliminated)
         assert set(ranking.survivors) == {ds.index_of("x1"), ds.index_of("x2")}
@@ -154,19 +154,19 @@ class TestRfeRank:
 
     def test_overshadowed_ranking_prefers_high_gain(self, coupled_split, coupled_kept, coupled_dataset):
         train, _ = coupled_split
-        ranking = rfe_rank(train, coupled_kept, RFEConfig(max_states=3))
+        ranking = rfe_rank(SubsetEvaluator(train), coupled_kept, RFEConfig(max_states=3))
         labels = [coupled_dataset.manifest[i].subsystem for i in ranking.survivors]
         assert labels.count("A") >= 2
 
     def test_nested_chain(self, coupled_split, coupled_kept):
         train, _ = coupled_split
         caps = (2, 4, 6)
-        survivor_sets = [set(rfe_rank(train, coupled_kept, RFEConfig(max_states=c)).survivors) for c in caps]
+        survivor_sets = [set(rfe_rank(SubsetEvaluator(train), coupled_kept, RFEConfig(max_states=c)).survivors) for c in caps]
         assert survivor_sets[0] < survivor_sets[1] < survivor_sets[2]
 
     def test_block_elimination_count(self):
         ds = exact_two_state_dataset(n_extra_noise=8)  # pool of 10
-        ranking = rfe_rank(ds, ds.candidate_indices, RFEConfig(max_states=2, block_fraction=0.2))
+        ranking = rfe_rank(SubsetEvaluator(ds), ds.candidate_indices, RFEConfig(max_states=2, block_fraction=0.2))
         # 10 -> 8 -> 7 -> 6 -> 5 -> 4 -> 3 -> 2: first drop is floor(0.2*10)=2, then 1s
         assert ranking.iterations == 7
         assert len(ranking.survivors) == 2
@@ -176,15 +176,15 @@ class TestWithinSubsystem:
     def test_single_subsystem_reduces_to_whole_pool(self, rlc_split, rlc_kept):
         train, _ = rlc_split
         cfg = RFEConfig(max_states=4)
-        shortlists = within_subsystem_rfe(train, rlc_kept, cfg)
+        shortlists = within_subsystem_rfe(SubsetEvaluator(train), rlc_kept, cfg)
         assert list(shortlists) == [""]
-        direct = rfe_rank(train, rlc_kept, cfg)
+        direct = rfe_rank(SubsetEvaluator(train), rlc_kept, cfg)
         assert shortlists[""].survivors == direct.survivors
         assert shortlists[""].eliminated == direct.eliminated
 
     def test_decoupled_blocks_recover_their_states(self, decoupled_split, decoupled_kept, decoupled_dataset):
         train, _ = decoupled_split
-        shortlists = within_subsystem_rfe(train, decoupled_kept, RFEConfig(max_states=4))
+        shortlists = within_subsystem_rfe(SubsetEvaluator(train), decoupled_kept, RFEConfig(max_states=4))
         names = decoupled_dataset.names
         assert {names[i] for i in shortlists["A"].survivors} == {"A.x1", "A.x2"}
         assert {names[i] for i in shortlists["B"].survivors} == {"B.x1", "B.x2"}
@@ -207,7 +207,7 @@ class TestWithinSubsystem:
         ds = TimeSeriesDataset(0.1, (np.vstack(rows),), tuple(manifest))
         pool = [i for i in ds.candidate_indices if ds.manifest[i].subsystem != "C"]
         with pytest.warns(UserWarning, match="'C' has no candidates"):
-            shortlists = within_subsystem_rfe(ds, pool, RFEConfig(max_states=3))
+            shortlists = within_subsystem_rfe(SubsetEvaluator(ds), pool, RFEConfig(max_states=3))
         assert sorted(shortlists) == ["A", "B"]
 
 
@@ -252,7 +252,7 @@ class TestCrossInfluence:
         train, _ = coupled_split
         names = coupled_dataset.names
         cfg = RFEConfig(max_states=2, cross_top_k=2)
-        shortlists = within_subsystem_rfe(train, coupled_kept, RFEConfig(max_states=2))
+        shortlists = within_subsystem_rfe(SubsetEvaluator(train), coupled_kept, RFEConfig(max_states=2))
         sl = {k: v.survivors for k, v in shortlists.items()}
         imports = cross_influence(train, coupled_kept, sl, cfg)
         a_to_b = {names[imp.index]: imp for imp in imports[("A", "B")]}
@@ -276,15 +276,15 @@ class TestMergedSearch:
     def test_single_candidate_pool(self):
         ds = exact_two_state_dataset(n_extra_noise=0)
         train, test = split(ds, SplitSpec(0.8))
-        res = merged_search(train, test, [ds.index_of("x1")], RFEConfig(max_states=2))
+        res = merged_search(SubsetEvaluator(train), test, [ds.index_of("x1")], RFEConfig(max_states=2))
         assert res.indices == (ds.index_of("x1"),)
         assert res.diagnostics["subsets_examined"] == 1
 
     def test_matches_independent_brute_force(self, coupled_split, coupled_kept):
         train, test = coupled_split
         cfg = RFEConfig(max_states=3)
-        res = merged_search(train, test, coupled_kept, cfg)
-        ev = SubsetEvaluator(train, cfg.truncation, cfg.scale_floor)
+        res = merged_search(SubsetEvaluator(train), test, coupled_kept, cfg)
+        ev = SubsetEvaluator(train)
         keys = []
         for size in range(1, 4):
             for s in combinations(sorted(coupled_kept), size):
@@ -298,14 +298,14 @@ class TestMergedSearch:
         train, test = coupled_split
         cfg = RFEConfig(max_states=3, search_limit=4)
         with pytest.raises(MergedPoolTooLarge, match="Lower max_states"):
-            merged_search(train, test, coupled_kept, cfg)
+            merged_search(SubsetEvaluator(train), test, coupled_kept, cfg)
 
     def test_worker_count_does_not_change_result(self):
         ds = exact_two_state_dataset(n_extra_noise=2)
         train, test = split(ds, SplitSpec(0.8))
         cfg = RFEConfig(max_states=3)
-        serial = merged_search(train, test, ds.candidate_indices, cfg, workers=1)
-        parallel = merged_search(train, test, ds.candidate_indices, cfg, workers=2)
+        serial = merged_search(SubsetEvaluator(train), test, ds.candidate_indices, cfg, workers=1)
+        parallel = merged_search(SubsetEvaluator(train), test, ds.candidate_indices, cfg, workers=2)
         assert serial.to_dict() == parallel.to_dict()
 
     def test_tie_breaks_prefer_fewer_then_lexicographic(self):
@@ -317,7 +317,7 @@ class TestMergedSearch:
 class TestRfeSelect:
     def test_coupled_end_to_end(self, coupled_split, coupled_kept, coupled_dataset):
         train, test = coupled_split
-        res = rfe_select(train, test, coupled_kept, RFEConfig(max_states=2))
+        res = rfe_select(SubsetEvaluator(train), test, coupled_kept, RFEConfig(max_states=2))
         labels = {coupled_dataset.manifest[i].subsystem for i in res.indices}
         assert labels == {"A", "B"}
         assert res.method == "rfe"
@@ -331,7 +331,7 @@ class TestRfeSelect:
 
     def test_diagnostics_shape(self, coupled_split, coupled_kept):
         train, test = coupled_split
-        res = rfe_select(train, test, coupled_kept, RFEConfig(max_states=2))
+        res = rfe_select(SubsetEvaluator(train), test, coupled_kept, RFEConfig(max_states=2))
         d = res.diagnostics
         assert set(d["shortlists"]) == {"A", "B"}
         assert "A->B" in d["imports"] and "B->A" in d["imports"]

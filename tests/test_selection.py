@@ -1,0 +1,62 @@
+"""One ``SubsetEvaluator`` shared by the selectors and the worker pool."""
+
+from statesel import selection
+from statesel.ga import GAConfig, ga_select
+from statesel.rfe import RFEConfig, enumerate_subsets, rfe_select
+from statesel.selection import SubsetEvaluator, evaluate_subsets
+
+
+def small_ga(**kw):
+    defaults = dict(
+        max_states=3,
+        population_size=16,
+        restarts=3,
+        seed=9,
+        stall_generations=8,
+        max_generations=40,
+    )
+    defaults.update(kw)
+    return GAConfig(**defaults)
+
+
+def test_ga_after_rfe_fits_only_its_winner(coupled_split, coupled_kept):
+    train, test = coupled_split
+    ev = SubsetEvaluator(train)
+    rfe = rfe_select(ev, test, coupled_kept, RFEConfig(max_states=3))
+    pool = rfe.diagnostics["merged_pool"]
+    fits = ev.fit_count
+    ga = ga_select(ev, test, pool, small_ga())
+    # every subset of the merged pool up to the cap is already cached by the
+    # RFE sweep, so the only new fit is the model of the GA's winner
+    assert ev.fit_count - fits == 1
+    alone = ga_select(SubsetEvaluator(train), test, pool, small_ga())
+    assert ga.to_dict() == alone.to_dict()
+
+
+def test_pool_breakdowns_land_in_the_callers_cache(coupled_split, coupled_kept):
+    train, _ = coupled_split
+    subsets = enumerate_subsets(coupled_kept[:6], 2)
+    ev = SubsetEvaluator(train)
+    scores = evaluate_subsets(subsets + subsets[::-1], ev, workers=2)
+    assert ev.fit_count == 0  # every fit ran in a worker
+    fresh = SubsetEvaluator(train)
+    for s, j in zip(subsets, scores):
+        assert ev.breakdown(s) == fresh.breakdown(s)
+        assert j == fresh.evaluate(s)
+    assert scores == scores[: len(subsets)] + scores[: len(subsets)][::-1]
+    assert ev.fit_count == 0
+
+
+def test_cached_subsets_start_no_pool(coupled_split, coupled_kept, monkeypatch):
+    train, _ = coupled_split
+    subsets = enumerate_subsets(coupled_kept[:4], 2)
+    ev = SubsetEvaluator(train)
+    serial = [ev.evaluate(s) for s in subsets]
+    fits = ev.fit_count
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool started for cached subsets")
+
+    monkeypatch.setattr(selection, "ProcessPoolExecutor", no_pool)
+    assert evaluate_subsets(subsets, ev, workers=2) == serial
+    assert ev.fit_count == fits

@@ -8,7 +8,7 @@ feature elimination with cross-subsystem balancing, and a genetic-algorithm
 baseline over binary candidate masks.
 """
 
-from .cost import ChannelScales, CostBreakdown, compute_scales, cost, rollout_cost
+from .cost import ChannelScales, CostBreakdown, cost, rollout_cost
 from .datamodel import (
     ChannelMeta,
     SnapshotSet,
@@ -71,7 +71,6 @@ __all__ = [
     "TruncationPolicy",
     "assemble_snapshots",
     "c2d_zoh",
-    "compute_scales",
     "correlation",
     "cost",
     "count_subsets",

@@ -37,7 +37,7 @@ class ChannelScales:
         if not self.floor > 0:
             raise ValueError(f"scale floor must be positive, got {self.floor}")
         if np.any(sx < self.floor) or np.any(sy < self.floor):
-            raise ValueError("scales below the floor; compute_scales should have floored them")
+            raise ValueError(f"scales below the floor {self.floor}; clip them with np.maximum first")
         object.__setattr__(self, "sigma_x", sx)
         object.__setattr__(self, "sigma_y", sy)
 
@@ -58,16 +58,6 @@ def pooled_std(ds: TimeSeriesDataset) -> np.ndarray:
     """Population standard deviation of every channel, pooled across realizations."""
     stacked = np.hstack(ds.realizations)
     return stacked.std(axis=1)
-
-
-def compute_scales(
-    train: TimeSeriesDataset, state_idx: Sequence[int], floor: float = 1e-9
-) -> ChannelScales:
-    """Training-set scales for the chosen state channels and all outputs."""
-    std = pooled_std(train)
-    sigma_x = np.maximum(std[list(state_idx)], floor)
-    sigma_y = np.maximum(std[list(train.output_indices)], floor)
-    return ChannelScales(sigma_x=sigma_x, sigma_y=sigma_y, floor=floor)
 
 
 def cost(

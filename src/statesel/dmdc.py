@@ -6,7 +6,9 @@ through the pseudoinverse of the stacked matrix ``[X; V]``. The pseudoinverse
 is formed from a truncated SVD whose rank is capped by the condition number of
 the retained singular values. The output map ``Cd`` is the minimum-norm
 least-squares solution of ``Y ~ Cd X`` through the truncated pseudoinverse of
-``X``. Direct input-to-output feedthrough is fixed to zero.
+``X``. Direct input-to-output feedthrough is fixed to zero. Open-loop rollout
+over ``K`` steps is a prefix scan in the Schur basis of ``Ad``: one real Schur
+factorization and about ``2 log2 K`` small matrix products, no step loop.
 """
 
 from __future__ import annotations
@@ -67,9 +69,7 @@ class StateSpaceModel:
         for name, M in (("Ad", Ad), ("Bd", Bd), ("Cd", Cd)):
             if not np.all(np.isfinite(M)):
                 raise ValueError(f"{name} contains non-finite entries")
-        object.__setattr__(self, "Ad", Ad)
-        object.__setattr__(self, "Bd", Bd)
-        object.__setattr__(self, "Cd", Cd)
+            object.__setattr__(self, name, M)
 
     @property
     def n_states(self) -> int:
@@ -154,23 +154,30 @@ def rollout(model: StateSpaceModel, x0: np.ndarray, V: np.ndarray) -> tuple[np.n
     The recursion starts from ``x(0) = x0`` and uses the input column ``k``
     to advance from step ``k`` to ``k + 1``. Returned trajectories cover
     steps ``1..K``; the initial condition itself is not included.
+
+    With ``Ad = Q T Q'`` (real Schur), column ``k`` of ``Z`` starts as
+    ``Q' Bd v(k)`` (plus ``T Q' x0`` at ``k = 0``); for ``s = 1, 2, 4, ... < K``
+    it adds ``T^s`` times column ``k - s``, and ``Xh = Q Z``. Squaring the
+    triangular ``T``, not ``Ad``, keeps a non-normal ``Ad`` accurate. Once
+    ``T^s`` overflows the model has diverged: every state is NaN or inf from
+    column ``s`` on, even if a mode no input reaches keeps the loop finite.
     """
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     V = np.asarray(V, dtype=float)
-    n = model.n_states
-    if x0.shape[0] != n:
-        raise ValueError(f"x0 has length {x0.shape[0]}, model has {n} states")
+    if x0.shape[0] != model.n_states:
+        raise ValueError(f"x0 has length {x0.shape[0]}, model has {model.n_states} states")
     if V.ndim != 2 or V.shape[0] != model.Bd.shape[1]:
         raise ValueError(f"V must be {model.Bd.shape[1]} x K, got {V.shape}")
-    K = V.shape[1]
-    Xh = np.empty((n, K))
-    BV = model.Bd @ V
-    Ad = model.Ad
-    x = x0
-    for k in range(K):
-        x = Ad @ x + BV[:, k]
-        Xh[:, k] = x
-    Yh = model.Cd @ Xh
+    T, Q = scipy.linalg.schur(model.Ad)
+    Z = (Q.T @ model.Bd) @ V
+    Z[:, :1] += T @ (Q.T @ x0)[:, None]
+    P, s = T, 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        while s < Z.shape[1]:
+            Z[:, s:] += P @ Z[:, :-s]
+            P, s = P @ P, 2 * s
+        Xh = Q @ Z
+        Yh = model.Cd @ Xh
     return Xh, Yh
 
 
@@ -214,12 +221,5 @@ def save_model(model: StateSpaceModel, path: str | Path) -> None:
 
 def load_model(path: str | Path) -> StateSpaceModel:
     doc = json.loads(Path(path).read_text())
-    return StateSpaceModel(
-        Ad=np.array(doc["Ad"], dtype=float),
-        Bd=np.array(doc["Bd"], dtype=float),
-        Cd=np.array(doc["Cd"], dtype=float),
-        state_names=tuple(doc["state_names"]),
-        input_names=tuple(doc["input_names"]),
-        output_names=tuple(doc["output_names"]),
-        dt=float(doc["dt"]),
-    )
+    names = {k: tuple(doc[k]) for k in ("state_names", "input_names", "output_names")}
+    return StateSpaceModel(Ad=doc["Ad"], Bd=doc["Bd"], Cd=doc["Cd"], dt=float(doc["dt"]), **names)

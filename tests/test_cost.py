@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from statesel.cost import (
     ChannelScales,
-    compute_scales,
     cost,
     pooled_std,
     rollout_cost,
@@ -13,6 +12,7 @@ from statesel.cost import (
 from statesel.datamodel import ChannelMeta, TimeSeriesDataset
 from statesel.dmdc import fit_model
 from statesel.errors import DatasetError
+from statesel.selection import SubsetEvaluator
 
 
 def dataset_from_rows(rows_per_real, dt=0.1):
@@ -36,13 +36,13 @@ class TestComputeScales:
     def test_floor_engages_on_constant(self):
         rows = [np.vstack([np.ones(10), np.ones(10), np.full(10, 3.0)])]
         ds = dataset_from_rows(rows)
-        scales = compute_scales(ds, [2], floor=1e-9)
+        scales = SubsetEvaluator(ds, scale_floor=1e-9).scales_for([2])
         assert scales.sigma_x[0] == 1e-9
 
     def test_two_point_channel(self):
         rows = [np.vstack([np.ones(2), np.ones(2), np.array([0.0, 2.0])])]
         ds = dataset_from_rows(rows)
-        scales = compute_scales(ds, [2])
+        scales = SubsetEvaluator(ds).scales_for([2])
         assert scales.sigma_x[0] == pytest.approx(1.0, abs=0)
 
     def test_matches_two_pass_oracle(self):
@@ -51,7 +51,7 @@ class TestComputeScales:
         rows = [np.vstack([np.ones(600), np.ones(600), data[:600]]),
                 np.vstack([np.ones(400), np.ones(400), data[600:]])]
         ds = dataset_from_rows(rows)
-        scales = compute_scales(ds, [2])
+        scales = SubsetEvaluator(ds).scales_for([2])
         mean = sum(data) / len(data)
         var = sum((x - mean) ** 2 for x in data) / len(data)
         assert scales.sigma_x[0] == pytest.approx(np.sqrt(var), rel=1e-12)
@@ -161,7 +161,7 @@ def test_rollout_cost_exact_data_near_zero(rlc_split, rlc_dataset):
     train, test = rlc_split
     idx = [rlc_dataset.index_of("capacitor.v"), rlc_dataset.index_of("capacitor.p.i")]
     model = fit_model(train, idx)
-    scales = compute_scales(train, idx)
+    scales = SubsetEvaluator(train).scales_for(idx)
     assert rollout_cost(model, train, idx, scales).J < 1e-12
     assert rollout_cost(model, test, idx, scales).J < 1e-12
 

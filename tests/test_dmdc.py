@@ -1,7 +1,11 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from statesel.benchgen import RlcParams
 from statesel.datamodel import SnapshotSet, assemble_snapshots
@@ -215,6 +219,114 @@ class TestRollout:
             rollout(model, np.ones(3), np.zeros((1, 4)))
         with pytest.raises(ValueError):
             rollout(model, np.ones(2), np.zeros((2, 4)))
+
+
+# rollout scan vs the plain loop: horizons around every power of two
+SCAN_HORIZONS = sorted({0, 1, 2, 3, 3000} | {2**j + d for j in range(2, 12) for d in (-1, 0, 1)})
+# relative to max(1, max|x|) times the transient growth max ||Ad^s||, which
+# is 1 for a normal Ad of spectral radius at most 1
+SCAN_TOL = 1e-11
+
+
+def draw_ad(kind, n, rng):
+    """Transition matrix of a named family. Jordan blocks are defective and
+    random ones non-normal; the others are normal, since the orthogonal
+    similarity applied last keeps normality."""
+    if kind == "zero":
+        return np.zeros((n, n))
+    if kind == "identity":
+        return np.eye(n)
+    if kind in ("stable", "unstable"):
+        A = rng.standard_normal((n, n))
+        radius = rng.uniform(0.1, 0.99) if kind == "stable" else rng.uniform(1.01, 3.0)
+        return A * radius / max(abs(np.linalg.eigvals(A)))
+    if kind == "jordan":
+        J = rng.uniform(-1.05, 1.05) * np.eye(n) + np.eye(n, k=1)
+    else:  # "complex" pairs of any radius, or "rotation" pairs on the unit circle
+        J = np.diag(rng.choice([-1.0, 1.0], n) if kind == "rotation" else rng.uniform(-1, 1, n))
+        for i in range(0, n - 1, 2):
+            r = 1.0 if kind == "rotation" else rng.uniform(0.5, 1.1)
+            th = rng.uniform(0, np.pi)
+            J[i : i + 2, i : i + 2] = r * np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return Q @ J @ Q.T
+
+
+def first_overflow(Ad, K):
+    """Smallest ``s = 2^j < K`` whose power ``T^s`` of the Schur factor of
+    ``Ad``, squared as the scan squares it, is not finite; else ``K``."""
+    P, s = scipy.linalg.schur(Ad)[0], 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        while s < K and np.all(np.isfinite(P)):
+            P, s = P @ P, 2 * s
+    return min(s, K)
+
+
+def transient_growth(Ad, K):
+    """``max ||Ad^s||`` (Frobenius) over ``0 <= s < K``, at least 1."""
+    P, g = np.eye(len(Ad)), 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(K - 1):
+            P = Ad @ P
+            g = max(g, float(np.linalg.norm(P)))
+    return g
+
+
+class TestRolloutScan:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kind=st.sampled_from(["stable", "unstable", "jordan", "complex", "rotation", "zero", "identity"]),
+        n=st.integers(min_value=1, max_value=8),
+        m=st.integers(min_value=0, max_value=2),
+        K=st.sampled_from(SCAN_HORIZONS),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_matches_loop_oracle(self, kind, n, m, K, seed):
+        rng = np.random.default_rng(seed)
+        Ad = draw_ad(kind, n, rng)
+        Bd = rng.standard_normal((n, m))
+        x0 = rng.standard_normal(n)
+        V = rng.standard_normal((m, K))
+        Xh, Yh = rollout(make_model(Ad, Bd, np.ones((1, n))), x0, V)
+        assert Xh.shape == (n, K) and Yh.shape == (1, K)
+        with np.errstate(over="ignore", invalid="ignore"):
+            X = simulate_discrete(Ad, Bd, V, x0)[:, 1:]
+        h = first_overflow(Ad, K)
+        # columns before the first overflowing power agree wherever the
+        # oracle stays finite with room to spare
+        big = np.flatnonzero(~(np.abs(X[:, :h]) <= 1e250).all(axis=0))
+        c = big[0] if big.size else h
+        scale = max(1.0, float(np.max(np.abs(X[:, :c]), initial=0.0)))
+        tol = SCAN_TOL * transient_growth(Ad, c) * scale
+        assert np.max(np.abs(Xh[:, :c] - X[:, :c]), initial=0.0) <= tol
+        assert not np.any(np.isfinite(Xh[:, h:]))
+
+    @pytest.mark.parametrize("lam", [0.9, -0.9, 0.99])
+    def test_defective_block_matches_loop(self, lam):
+        # a Jordan block of size 8 seen through a rotation: its powers grow
+        # by orders of magnitude before they decay, and squaring them outside
+        # the Schur basis loses most of the digits
+        rng = np.random.default_rng(3)
+        Q, _ = np.linalg.qr(rng.standard_normal((8, 8)))
+        Ad = Q @ (lam * np.eye(8) + np.eye(8, k=1)) @ Q.T
+        Bd, x0, V = rng.standard_normal((8, 1)), rng.standard_normal(8), rng.standard_normal((1, 1500))
+        Xh, _ = rollout(make_model(Ad, Bd, np.ones((1, 8))), x0, V)
+        X = simulate_discrete(Ad, Bd, V, x0)[:, 1:]
+        tol = SCAN_TOL * transient_growth(Ad, 1500) * max(1.0, np.max(np.abs(X)))
+        assert np.max(np.abs(Xh - X)) <= tol
+
+    def test_unexcited_unstable_mode_diverges(self):
+        # the first state is never excited, so the plain loop keeps it at 0,
+        # but T^32 = Ad^32 overflows and the scan meets inf * 0
+        model = make_model(np.diag([1e10, 0.5]), np.array([[0.0], [1.0]]), np.eye(2))
+        x0, V = np.array([0.0, 1.0]), np.ones((1, 100))
+        loop = simulate_discrete(model.Ad, model.Bd, V, x0)[:, 1:]
+        assert np.all(np.isfinite(loop))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            Xh, Yh = rollout(model, x0, V)
+        assert np.max(np.abs(Xh[:, :32] - loop[:, :32])) < 1e-15
+        assert np.all(np.isnan(Xh[:, 32:])) and np.all(np.isnan(Yh[:, 32:]))
 
 
 class TestC2d:

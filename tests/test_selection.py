@@ -1,6 +1,13 @@
 """One ``SubsetEvaluator`` shared by the selectors and the worker pool."""
 
+import math
+import warnings
+
+import numpy as np
+
 from statesel import selection
+from statesel.datamodel import ChannelMeta, TimeSeriesDataset
+from statesel.dmdc import StateSpaceModel
 from statesel.ga import GAConfig, ga_select
 from statesel.rfe import RFEConfig, enumerate_subsets, rfe_select
 from statesel.selection import SubsetEvaluator, evaluate_subsets
@@ -60,3 +67,29 @@ def test_cached_subsets_start_no_pool(coupled_split, coupled_kept, monkeypatch):
     monkeypatch.setattr(selection, "ProcessPoolExecutor", no_pool)
     assert evaluate_subsets(subsets, ev, workers=2) == serial
     assert ev.fit_count == fits
+
+
+def test_unexcited_unstable_mode_scores_as_diverged(monkeypatch):
+    # a fitted mode of gain 1e10 that neither x0 nor the input reaches: the
+    # rollout's Ad^32 overflows, so the subset is infeasible, without a
+    # RuntimeWarning and without a finite or infinite J
+    manifest = tuple(
+        ChannelMeta(name, role)
+        for name, role in (("u", "input"), ("y", "output"), ("a", "candidate"), ("b", "candidate"))
+    )
+    rows = np.vstack([np.ones(100), np.ones(100), np.zeros(100), np.ones(100)])
+    ev = SubsetEvaluator(TimeSeriesDataset(0.1, (rows,), manifest))
+    model = StateSpaceModel(
+        Ad=np.diag([1e10, 0.5]),
+        Bd=np.array([[0.0], [1.0]]),
+        Cd=np.array([[0.0, 1.0]]),
+        state_names=("a", "b"),
+        input_names=("u",),
+        output_names=("y",),
+        dt=0.1,
+    )
+    monkeypatch.setattr(ev, "fit", lambda subset: model)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert ev.breakdown([2, 3]) is None
+    assert ev.evaluate([3, 2]) == math.inf

@@ -213,7 +213,7 @@ def cmd_select(args: argparse.Namespace) -> int:
                         gw = csv.writer(gfh)
                         gw.writerow(["generation", "best_J"])
                         for g, j in enumerate(result.diagnostics["trace"]):
-                            gw.writerow([g, repr(j)])
+                            gw.writerow([g, repr(float(j))])
                 print(
                     f"{method} cap={cap}: selected {len(result.indices)} "
                     f"J_train={result.j_train.J:.6g} J_test={result.j_test.J:.6g}"

@@ -7,7 +7,7 @@ operations index channels by their position in the manifest.
 File formats:
 
 * data CSV: header row of channel names, one row per time step, one file per
-  realization;
+  realization; each cell is a finite decimal float, optionally double-quoted;
 * manifest: JSON document ``{"dt_seconds": float, "channels": [{"name", "role",
   "subsystem"}, ...]}``.
 """
@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -196,43 +197,56 @@ def save_manifest(path: str | Path, dt: float, manifest: Sequence[ChannelMeta]) 
 
 
 def _read_csv_realization(path: Path, manifest: Sequence[ChannelMeta]) -> np.ndarray:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    with open(path) as fh:
+        head, *body = fh.read().split("\n")
+    if not (head or body):
+        raise DatasetError(f"{path}: empty file")
+    header = [h.strip() for h in next(csv.reader([head]))]
+    column = {h: j for j, h in enumerate(header)}
+    if len(column) != len(header):
+        dup = next(h for h in header if header.count(h) > 1)
+        raise DuplicateChannel(f"{path}: duplicate column {dup!r}")
+    wanted = [c.name for c in manifest]
+    missing = [n for n in wanted if n not in column]
+    if missing:
+        raise DatasetError(f"{path}: missing channel(s) {missing}")
+    extra = sorted(column.keys() - set(wanted), key=column.get)
+    if extra:
+        raise DatasetError(f"{path}: unknown channel(s) {extra}")
+    order = [column[n] for n in wanted]
+    linenos = [n for n, line in enumerate(body, start=2) if line]
+    body = [line for line in body if line]
+    # Parse the rows above the first defect (a ragged row, or a row loadtxt
+    # rejects), so that a non-finite value above it is reported first.
+    commas = len(header) - 1
+    good = next((i for i, line in enumerate(body) if line.count(",") != commas), len(body))
+    vals = np.empty((0, len(header)))
+    while good and not len(vals):
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DatasetError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        if len(set(header)) != len(header):
-            dup = next(h for h in header if header.count(h) > 1)
-            raise DuplicateChannel(f"{path}: duplicate column {dup!r}")
-        wanted = [c.name for c in manifest]
-        missing = [n for n in wanted if n not in header]
-        if missing:
-            raise DatasetError(f"{path}: missing channel(s) {missing}")
-        extra = [n for n in header if n not in wanted]
-        if extra:
-            raise DatasetError(f"{path}: unknown channel(s) {extra}")
-        order = [header.index(n) for n in wanted]
-        rows: list[list[float]] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise DatasetError(
-                    f"{path}: row {lineno} has {len(row)} cells, expected {len(header)}"
-                )
-            try:
-                vals = [float(row[j]) for j in order]
-            except ValueError as exc:
-                raise DatasetError(f"{path}: row {lineno}: {exc}") from exc
-            for name, v in zip(wanted, vals):
-                if not math.isfinite(v):
-                    raise DatasetError(f"{path}: row {lineno}: non-finite value in {name!r}")
-            rows.append(vals)
-    if len(rows) < 2:
+            vals = np.loadtxt(
+                body[:good], delimiter=",", quotechar='"', comments=None, ndmin=2, usecols=order
+            )
+        except ValueError as exc:
+            # loadtxt counts rows from 0 in a conversion error, from 1 in a
+            # missing-column error; good shrinks on every pass, so the loop ends
+            row = int(re.search(r"at row (\d+)", str(exc))[1])
+            good = min(good - 1, row if "convert" in str(exc) else row - 1)
+    if not np.all(np.isfinite(vals)):
+        row, ch = np.argwhere(~np.isfinite(vals))[0]
+        raise DatasetError(f"{path}: row {linenos[row]}: non-finite value in {wanted[ch]!r}")
+    if good < len(body):
+        where = f"{path}: row {linenos[good]}"
+        cells = next(csv.reader([body[good]]))
+        if len(cells) != len(header):
+            raise DatasetError(f"{where} has {len(cells)} cells, expected {len(header)}")
+        try:
+            [float(cells[j]) for j in order]
+        except ValueError as exc:
+            raise DatasetError(f"{where}: {exc}") from exc
+        raise DatasetError(f"{where}: not a decimal float in {body[good]!r}")
+    if len(vals) < 2:
         raise DatasetError(f"{path}: needs at least 2 sample rows")
-    return np.array(rows, dtype=float).T
+    return vals.T
 
 
 def ingest(data: str | Path | Sequence[str | Path], manifest_path: str | Path) -> TimeSeriesDataset:

@@ -82,17 +82,15 @@ def correlation(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.dot(da, db) / (na * nb))
 
 
-def _abs_corr_matrix(rows: np.ndarray) -> np.ndarray:
-    """Absolute pairwise Pearson correlations; constant rows correlate with nothing."""
+def _unit_rows(rows: np.ndarray) -> np.ndarray:
+    """Rows centered and scaled to unit norm, so that their inner products are
+    Pearson correlations; a constant row becomes zero and correlates with nothing."""
     centered = rows - rows.mean(axis=1, keepdims=True)
     norms = np.sqrt(np.sum(centered * centered, axis=1))
-    safe = np.where(norms == 0.0, 1.0, norms)
-    unit = centered / safe[:, None]
-    corr = np.abs(unit @ unit.T)
-    corr[norms == 0.0, :] = 0.0
-    corr[:, norms == 0.0] = 0.0
-    np.fill_diagonal(corr, 1.0)
-    return np.clip(corr, 0.0, 1.0)
+    # a constant row's rounded mean can leave it a tiny nonzero norm
+    const = (norms == 0.0) | (rows.max(axis=1) == rows.min(axis=1))
+    centered[const] = 0.0
+    return centered / np.where(const, 1.0, norms)[:, None]
 
 
 def prefilter(train: TimeSeriesDataset, cfg: PrefilterConfig | None = None) -> PrefilterReport:
@@ -119,10 +117,10 @@ def prefilter(train: TimeSeriesDataset, cfg: PrefilterConfig | None = None) -> P
             survivors.append(idx)
 
     # rule 2: collinearity with any input channel
-    inputs = [data[i] for i in train.input_indices]
+    inputs = _unit_rows(data[list(train.input_indices)])
+    evidence = np.abs(_unit_rows(data[survivors]) @ inputs.T).max(axis=1)
     kept_after_inputs: list[int] = []
-    for idx in survivors:
-        r_max = max(abs(correlation(data[idx], v)) for v in inputs)
+    for idx, r_max in zip(survivors, evidence.tolist()):
         if r_max > cfg.input_corr_threshold:
             removed.append(Removal(index=idx, reason="input_collinear", evidence=r_max))
         else:
@@ -131,7 +129,8 @@ def prefilter(train: TimeSeriesDataset, cfg: PrefilterConfig | None = None) -> P
     # rule 3: duplicate clusters among survivors, one representative each
     kept = kept_after_inputs
     if cfg.dedupe_enabled and len(kept) > 1:
-        corr = _abs_corr_matrix(data[kept])
+        unit = _unit_rows(data[kept])
+        corr = np.clip(np.abs(unit @ unit.T), 0.0, 1.0)
         dist = 1.0 - corr
         np.fill_diagonal(dist, 0.0)
         condensed = squareform(dist, checks=False)

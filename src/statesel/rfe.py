@@ -28,10 +28,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .datamodel import TimeSeriesDataset, assemble_snapshots
-from .dmdc import fit_dynamics, fit_output_map
+from .datamodel import TimeSeriesDataset
+from .dmdc import fit_output_map
 from .errors import DatasetError, DegenerateSnapshots, MergedPoolTooLarge
-from .prefilter import correlation
+from .prefilter import _unit_rows
 from .selection import (
     SelectionResult,
     SubsetEvaluator,
@@ -107,15 +107,15 @@ def importance(Cd: np.ndarray) -> ImportanceMatrix:
 def _mean_importance(
     evaluator: SubsetEvaluator,
     survivors: list[int],
-    y_rows: list[int] | None,
+    outputs: list[int],
 ) -> np.ndarray:
-    snaps = assemble_snapshots(evaluator.train, survivors)
-    Y = snaps.Y if y_rows is None else snaps.Y[y_rows]
-    # full model fit per iteration; the dynamics fit also detects a
-    # degenerate stacked snapshot matrix that the output fit alone misses
-    fit_dynamics(snaps, evaluator.policy)
-    Cd = fit_output_map(snaps.X, Y, evaluator.policy)
-    return importance(Cd).mean
+    reals = evaluator.train.realizations
+    X = np.hstack([r[survivors, :-1] for r in reals])
+    Y = np.hstack([r[outputs, :-1] for r in reals])
+    # Only Cd is ranked, so the dynamics are not fitted. Their SVD would fail
+    # only on an all-zero [X; V], whose X is all zero too, and fit_output_map
+    # raises the same DegenerateSnapshots on that.
+    return importance(fit_output_map(X, Y, evaluator.policy)).mean
 
 
 @dataclass(frozen=True)
@@ -135,8 +135,8 @@ def rfe_rank(
 ) -> RfeRanking:
     """Backward elimination over ``pool`` until at most ``max_states`` survive.
 
-    Per iteration: fit the model on the survivors, score variables by mean
-    importance, and drop the lowest-scoring block (ties drop the higher
+    Per iteration: fit the output map on the survivors, score variables by
+    mean importance, and drop the lowest-scoring block (ties drop the higher
     channel index first). Survivor sets across iterations are strictly
     nested. If a fit degenerates, that iteration falls back to eliminating
     the lowest-variance survivors instead.
@@ -148,18 +148,15 @@ def rfe_rank(
     survivors = sorted(set(pool))
     if not survivors:
         raise DatasetError("candidate pool is empty")
-    y_rows = None
-    if output_idx is not None:
-        all_outputs = list(evaluator.train.output_indices)
-        y_rows = [all_outputs.index(i) for i in output_idx]
-        if not y_rows:
-            y_rows = None
+    outputs = list(output_idx or evaluator.train.output_indices)
+    if not set(outputs) <= set(evaluator.train.output_indices):
+        raise DatasetError(f"output_idx {outputs} names a channel that is not an output")
     eliminated: list[int] = []
     iterations = 0
     while len(survivors) > cfg.max_states:
         iterations += 1
         try:
-            score = _mean_importance(evaluator, survivors, y_rows)
+            score = _mean_importance(evaluator, survivors, outputs)
         except DegenerateSnapshots:
             score = evaluator.std[survivors]
         k = max(1, math.floor(cfg.block_fraction * len(survivors)))
@@ -226,7 +223,7 @@ def cross_influence(
     labels = list(shortlists.keys())
     if len(labels) < 2:
         return {}
-    data = np.hstack(train.realizations)
+    unit = _unit_rows(np.hstack(train.realizations))
     already = {i for sl in shortlists.values() for i in sl}
     by_label: dict[str, list[int]] = {}
     for idx in pool:
@@ -239,14 +236,9 @@ def cross_influence(
             targets = list(shortlists[dst]) + [
                 i for i in train.output_indices if train.manifest[i].subsystem == dst
             ]
-            scored = []
-            for idx in by_label.get(src, []):
-                if idx in already:
-                    continue
-                score = max(
-                    (abs(correlation(data[idx], data[t])) for t in targets), default=0.0
-                )
-                scored.append((idx, score))
+            cands = [idx for idx in by_label.get(src, []) if idx not in already]
+            scores = np.abs(unit[cands] @ unit[targets].T).max(axis=1, initial=0.0)
+            scored = list(zip(cands, scores.tolist()))
             # best score first; ties favor the lower channel index
             scored.sort(key=lambda t: (-t[1], t[0]))
             chosen = tuple(

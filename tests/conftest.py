@@ -1,15 +1,30 @@
+import csv
+import math
+
 import numpy as np
 import pytest
 
 from statesel.benchgen import (
+    Coupling,
+    ExtraChannel,
+    SubsystemSpec,
+    SynthSystemSpec,
     default_coupled_spec,
     default_decoupled_spec,
     simulate_rlc,
     simulate_synth,
 )
-from statesel.datamodel import ChannelMeta, SplitSpec, TimeSeriesDataset, split
-from statesel.dmdc import c2d_zoh
+from statesel.datamodel import (
+    ChannelMeta,
+    SplitSpec,
+    TimeSeriesDataset,
+    assemble_snapshots,
+    split,
+)
+from statesel.dmdc import c2d_zoh, fit_dynamics, fit_output_map
+from statesel.errors import DatasetError, DuplicateChannel
 from statesel.prefilter import prefilter
+from statesel.rfe import importance
 
 
 @pytest.fixture(scope="session")
@@ -60,6 +75,59 @@ def decoupled_kept(decoupled_split):
     return prefilter(train).kept
 
 
+
+@pytest.fixture(scope="session")
+def wide_split():
+    """A small stand-in for a wide system: three chained blocks with 18
+    derived channels each, plus per block two scaled copies of its input, one
+    with noise of 0.1 % of the input's spread (input-collinear) and one with
+    noise of 100 % (kept by rule 2)."""
+    rng = np.random.default_rng(5)
+    blocks = []
+    for name, gain in (("A", 1e3), ("B", 1.0), ("C", 1e-2)):
+        scale = lambda: 10 ** rng.uniform(-1.0, 1.0)
+        extras = [
+            ExtraChannel(f"{name}.mix{j}", "mixture", tuple(rng.standard_normal(2)), scale())
+            for j in range(8)
+        ]
+        extras += [ExtraChannel(f"{name}.prod{j}", "product", (0, 1), scale()) for j in range(3)]
+        extras += [ExtraChannel(f"{name}.sq{j}", "square", (j % 2,), scale()) for j in range(3)]
+        extras += [ExtraChannel(f"{name}.noise{j}", "noise", (), scale()) for j in range(4)]
+        blocks.append(
+            SubsystemSpec(
+                name=name,
+                A=((-0.35, 0.0), (0.6, -1.2)),
+                B=(1.0, 0.0),
+                C=((1.0, 0.3),),
+                output_gain=gain,
+                extras=tuple(extras),
+            )
+        )
+    K = ((0.4, 0.2), (0.0, 0.15))
+    spec = SynthSystemSpec(
+        subsystems=tuple(blocks),
+        couplings=(Coupling("A", "B", K), Coupling("B", "C", K)),
+        noise_level=1e-3,
+        duration=40.0,
+        seed=3,
+    )
+    ds = simulate_synth(spec)
+    manifest, extra_rows = list(ds.manifest), []
+    for u in ds.input_indices:
+        label = ds.manifest[u].subsystem
+        for k, noise in enumerate((1e-3, 1.0)):
+            manifest.append(ChannelMeta(f"{label}.ucopy{k}", "candidate", label))
+            extra_rows.append((u, noise))
+    reals = tuple(
+        np.vstack(
+            [arr]
+            + [2.5 * (arr[u] + noise * arr[u].std() * rng.standard_normal(arr.shape[1]))
+               for u, noise in extra_rows]
+        )
+        for arr in ds.realizations
+    )
+    return split(TimeSeriesDataset(ds.dt, reals, tuple(manifest)), SplitSpec(0.8))
+
 def random_stable_discrete(rng, n, m, p, radius=0.9):
     """Random discrete (Ad, Bd, Cd) with spectral radius scaled below 1."""
     Ad = rng.standard_normal((n, n))
@@ -100,3 +168,57 @@ def make_lti_dataset(rng, n_junk=2, steps=800, dt=0.1, n_realizations=2):
         rows += [X[j % 2] ** 2 + 0.1 * rng.standard_normal(steps) for j in range(n_junk)]
         reals.append(np.vstack(rows))
     return TimeSeriesDataset(dt=dt, realizations=tuple(reals), manifest=tuple(manifest))
+
+
+def read_csv_oracle(path, manifest):
+    """Cell-by-cell ``csv`` + ``float`` reader of one data CSV: the reference
+    that ``ingest``'s one-call parse must match bit for bit, diagnostics
+    included. Returns ``channels x steps``."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DatasetError(f"{path}: empty file") from None
+        header = [h.strip() for h in header]
+        if len(set(header)) != len(header):
+            dup = next(h for h in header if header.count(h) > 1)
+            raise DuplicateChannel(f"{path}: duplicate column {dup!r}")
+        wanted = [c.name for c in manifest]
+        missing = [n for n in wanted if n not in header]
+        if missing:
+            raise DatasetError(f"{path}: missing channel(s) {missing}")
+        extra = [n for n in header if n not in wanted]
+        if extra:
+            raise DatasetError(f"{path}: unknown channel(s) {extra}")
+        order = [header.index(n) for n in wanted]
+        rows: list[list[float]] = []
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise DatasetError(
+                    f"{path}: row {lineno} has {len(row)} cells, expected {len(header)}"
+                )
+            try:
+                vals = [float(row[j]) for j in order]
+            except ValueError as exc:
+                raise DatasetError(f"{path}: row {lineno}: {exc}") from exc
+            for name, v in zip(wanted, vals):
+                if not math.isfinite(v):
+                    raise DatasetError(f"{path}: row {lineno}: non-finite value in {name!r}")
+            rows.append(vals)
+    if len(rows) < 2:
+        raise DatasetError(f"{path}: needs at least 2 sample rows")
+    return np.array(rows, dtype=float).T
+
+
+def mean_importance_two_fit(evaluator, survivors, y_rows):
+    """RFE elimination score with a dynamics fit run only for its
+    ``DegenerateSnapshots``: the reference for ``rfe._mean_importance``.
+    ``y_rows`` picks rows of the output block, ``None`` for all of them."""
+    snaps = assemble_snapshots(evaluator.train, survivors)
+    Y = snaps.Y if y_rows is None else snaps.Y[y_rows]
+    fit_dynamics(snaps, evaluator.policy)
+    Cd = fit_output_map(snaps.X, Y, evaluator.policy)
+    return importance(Cd).mean

@@ -7,6 +7,7 @@ lines; every tolerance is pinned here, nothing is deferred.
 import time
 
 import numpy as np
+import pytest
 
 from statesel.benchgen import RlcParams
 from statesel.cost import ChannelScales, cost, rollout_cost
@@ -61,6 +62,7 @@ def test_criterion_1_importance_tables():
     report(1, f"importance rows and means reproduced to 1e-3 in {elapsed:.3f}s")
 
 
+@pytest.mark.slow
 def test_criterion_2_rlc_end_to_end(rlc_dataset, rlc_split):
     t0 = time.time()
     train, test = rlc_split
@@ -114,6 +116,7 @@ def test_criterion_2_rlc_end_to_end(rlc_dataset, rlc_split):
     )
 
 
+@pytest.mark.slow
 def test_criterion_3_ga_stability(rlc_split):
     t0 = time.time()
     train, test = rlc_split
@@ -231,6 +234,7 @@ def test_criterion_7_overshadowing_mitigation(coupled_dataset, coupled_split, co
     )
 
 
+@pytest.mark.slow
 def test_criterion_8_parallel_determinism(coupled_split, coupled_kept):
     train, test = coupled_split
     merged = [
@@ -251,6 +255,7 @@ def test_criterion_8_parallel_determinism(coupled_split, coupled_kept):
     report(8, "merged_search and ga_select bit-identical for worker counts 1, 4, 8")
 
 
+@pytest.mark.slow
 def test_criterion_9_cost_vs_cap_trend(coupled_split, coupled_kept):
     train, test = coupled_split
     caps = (3, 6, 9, 12)

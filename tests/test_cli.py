@@ -124,6 +124,15 @@ class TestSelect:
         assert doc["j_train"]["J"] >= 0
         assert len(doc["indices"]) == len(doc["names"])
 
+    def test_ga_trace_holds_plain_floats(self, synth_run):
+        root, _, _ = synth_run
+        with open(root / "run" / "ga_trace_cap3.csv") as fh:
+            rows = list(csv.reader(fh))
+        doc = json.loads((root / "run" / "selection_ga_cap3.json").read_text())
+        assert rows[0] == ["generation", "best_J"]
+        trace = doc["diagnostics"]["trace"]
+        assert [(int(g), float(j)) for g, j in rows[1:]] == list(enumerate(trace))
+
     def test_worker_flag_does_not_change_numbers(self, synth_run):
         root, cfg_path, _ = synth_run
         cfg = json.loads(cfg_path.read_text())

@@ -11,9 +11,12 @@ from statesel.datamodel import (
     assemble_snapshots,
     emit,
     ingest,
+    save_manifest,
     split,
 )
 from statesel.errors import DatasetError, DuplicateChannel
+
+from conftest import read_csv_oracle
 
 
 def small_dataset(n_real=2, steps=100, seed=0):
@@ -114,6 +117,150 @@ class TestIngest:
         path.write_text('{"channels": [{"name": "u", "role": "input"}]}')
         with pytest.raises(DatasetError, match="malformed manifest"):
             ingest(tmp_path, path)
+
+
+# Values whose text a parser can get wrong: signed zero, the subnormal range,
+# the largest finite double, and ones whose shortest repr has 17 digits.
+EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.7976931348623157e308,
+               0.1 + 0.2, 1 / 3, -2.718281828459045e-100)
+FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(EDGE_FLOATS))
+# repr (shortest), 17 significant digits, 17 digits in exponent notation
+FORMATS = (repr, lambda v: f"{v:.17g}", lambda v: f"{v:.16e}")
+BAD_CELLS = ("abc", "1.2.3", "", "1e", "--1", "0x10", "#1")
+NON_FINITE_CELLS = ("nan", "inf", "-inf", "1e999", "NaN", "-Infinity", '"nan"')
+# defects a row can get; bad and non-finite cells twice as often as ragged rows
+KINDS = ("short", "long", "merge", "bad", "bad", "non_finite", "non_finite")
+
+
+def ingest_outcome(path, manifest_path, manifest):
+    """(kind, payload) of ingest and of the oracle reader on one data CSV."""
+    def run(read):
+        try:
+            arr = read()
+        except DatasetError as exc:
+            return "error", str(exc)
+        return "ok", (arr.shape, arr.tobytes())
+
+    new = run(lambda: ingest(path, manifest_path).realizations[0])
+    old = run(lambda: read_csv_oracle(path, manifest))
+    return new, old
+
+
+@st.composite
+def csv_texts(draw, defects=False):
+    """A data CSV for 2-5 channels: shuffled columns, quoted cells, blank
+    lines and CRLF endings; with ``defects``, up to 3 defects (a cell too few
+    or too many, a quoted comma, an unparsable or a non-finite cell) and maybe
+    fewer than 2 rows."""
+    width = draw(st.integers(min_value=2, max_value=5))
+    steps = draw(st.integers(min_value=0 if defects else 2, max_value=8))
+    names = [f"c{j}" for j in range(width)]
+    perm = draw(st.permutations(range(width)))
+    lines = [",".join(names[j] for j in perm)]
+    for _ in range(steps):
+        cells = []
+        for _ in range(width):
+            text = draw(st.sampled_from(FORMATS))(draw(FLOATS))
+            cells.append(f'"{text}"' if draw(st.booleans()) else text)
+        lines.append(cells)
+    if defects and steps:
+        for _ in range(draw(st.integers(min_value=1, max_value=3))):
+            cells = lines[draw(st.integers(min_value=1, max_value=steps))]
+            kind = draw(st.sampled_from(KINDS))
+            col = draw(st.integers(min_value=0, max_value=max(len(cells) - 2, 0)))
+            if kind == "long" or not cells:
+                cells.append("1.0")
+            elif kind == "short":
+                cells.pop()
+            elif kind == "merge":
+                # one cell fewer, but as many commas
+                cells[col : col + 2] = ['"1,5"']
+            else:
+                cells[col] = draw(st.sampled_from(BAD_CELLS if kind == "bad" else NON_FINITE_CELLS))
+    rows = [lines[0]] + [",".join(c) for c in lines[1:]]
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        rows.insert(draw(st.integers(min_value=1, max_value=len(rows))), "")
+    newline = draw(st.sampled_from(("\n", "\r\n")))
+    return names, newline.join(rows) + (newline if draw(st.booleans()) else "")
+
+
+class TestIngestOracle:
+    """``ingest`` against the per-cell ``csv`` + ``float`` reader in conftest."""
+
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("ingest_oracle")
+
+    def write(self, workdir, names, text):
+        manifest = tuple(
+            ChannelMeta(n, ("input", "output")[j] if j < 2 else "candidate")
+            for j, n in enumerate(names)
+        )
+        save_manifest(workdir / "manifest.json", 0.1, manifest)
+        path = workdir / "data.csv"
+        path.write_bytes(text.encode())
+        return path, workdir / "manifest.json", manifest
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=csv_texts())
+    def test_bit_identical(self, workdir, case):
+        new, old = ingest_outcome(*self.write(workdir, *case))
+        assert old[0] == "ok"
+        assert new == old
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=csv_texts(defects=True))
+    def test_same_first_diagnostic(self, workdir, case):
+        new, old = ingest_outcome(*self.write(workdir, *case))
+        assert new == old
+
+    @staticmethod
+    def set_cell(rows, line, col, text):
+        cells = rows[line].split(",")
+        cells[col] = text
+        rows[line] = ",".join(cells)
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            (lambda rows: rows.insert(4, "1.0,2.0,3.0"), "row 5 has 3 cells, expected 5"),
+            (lambda rows: TestIngestOracle.set_cell(rows, 4, 1, "1.2.3"),
+             "row 5: could not convert string to float: '1.2.3'"),
+            (lambda rows: TestIngestOracle.set_cell(rows, 4, 2, "nan"),
+             "row 5: non-finite value in 'a'"),
+            (lambda rows: TestIngestOracle.set_cell(rows, 6, 4, "-inf"),
+             "row 7: non-finite value in 'c'"),
+            (lambda rows: (TestIngestOracle.set_cell(rows, 4, 2, "inf"),
+                           TestIngestOracle.set_cell(rows, 7, 1, "abc")),
+             "row 5: non-finite value in 'a'"),
+            (lambda rows: (TestIngestOracle.set_cell(rows, 4, 1, "abc"), rows.insert(7, "1,2")),
+             "row 5: could not convert string to float: 'abc'"),
+            (lambda rows: rows.__delitem__(slice(2, None)), "needs at least 2 sample rows"),
+            (lambda rows: rows.__delitem__(slice(1, None)), "needs at least 2 sample rows"),
+            (lambda rows: rows.clear(), "empty file"),
+        ],
+        ids=["ragged", "unparsable", "nan", "inf", "inf_above_unparsable",
+             "unparsable_above_ragged", "one_row", "header_only", "empty"],
+    )
+    def test_diagnostic_matches_oracle(self, tmp_path, edit, match):
+        ds = small_dataset(n_real=1, steps=10)
+        (path,) = emit(ds, tmp_path)
+        rows = path.read_text().splitlines()
+        edit(rows)
+        path.write_text("".join(row + "\n" for row in rows))
+        new, old = ingest_outcome(path, tmp_path / "manifest.json", ds.manifest)
+        assert new == old
+        assert new[0] == "error" and match in new[1]
+
+    def test_digit_grouping_rejected(self, tmp_path):
+        ds = small_dataset(n_real=1, steps=10)
+        (path,) = emit(ds, tmp_path)
+        rows = path.read_text().splitlines()
+        rows[3] = "1_000," + rows[3].split(",", 1)[1]
+        path.write_text("\n".join(rows) + "\n")
+        read_csv_oracle(path, ds.manifest)  # float() takes "1_000"; loadtxt does not
+        with pytest.raises(DatasetError, match=r"row 4: not a decimal float in '1_000,"):
+            ingest(path, tmp_path / "manifest.json")
 
 
 class TestSplit:

@@ -180,3 +180,28 @@ def test_config_validation():
         PrefilterConfig(dedupe_corr_threshold=1.5)
     with pytest.raises(ValueError):
         PrefilterConfig(variance_epsilon=-1.0)
+
+
+class TestRule2Oracle:
+    """Rule 2 against the per-pair ``correlation`` loop it replaced."""
+
+    @pytest.mark.parametrize("split_name", ["rlc_split", "coupled_split", "wide_split"])
+    def test_matches_correlation_loop(self, split_name, request):
+        train, _ = request.getfixturevalue(split_name)
+        cfg = PrefilterConfig(dedupe_enabled=False)
+        report = prefilter(train, cfg)
+        data = np.hstack(train.realizations)
+        near_constant = {r.index for r in report.removed if r.reason == "near_constant"}
+        evidence = {
+            idx: max(abs(correlation(data[idx], data[u])) for u in train.input_indices)
+            for idx in train.candidate_indices
+            if idx not in near_constant
+        }
+        collinear = {i for i, e in evidence.items() if e > cfg.input_corr_threshold}
+        assert report.kept == tuple(sorted(set(evidence) - collinear))
+        removed = [r for r in report.removed if r.reason == "input_collinear"]
+        assert {r.index for r in removed} == collinear
+        for r in removed:
+            assert abs(r.evidence - evidence[r.index]) <= 1e-12
+        if split_name != "coupled_split":
+            assert collinear, "the case should exercise a removal"

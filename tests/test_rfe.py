@@ -6,9 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from statesel.datamodel import ChannelMeta, SplitSpec, TimeSeriesDataset, split
-from statesel.errors import MergedPoolTooLarge
+from statesel.errors import DegenerateSnapshots, MergedPoolTooLarge
+from statesel.prefilter import correlation, prefilter
 from statesel.rfe import (
+    CrossImport,
     RFEConfig,
+    _mean_importance,
     count_subsets,
     cross_influence,
     enumerate_subsets,
@@ -20,7 +23,7 @@ from statesel.rfe import (
 )
 from statesel.selection import SubsetEvaluator, subset_key
 
-from conftest import simulate_discrete
+from conftest import mean_importance_two_fit, simulate_discrete
 
 # worked two-subsystem example: a high-gain block dominating a low-gain one
 GAIN_DISPARITY_CD = np.array(
@@ -171,6 +174,70 @@ class TestRfeRank:
         assert ranking.iterations == 7
         assert len(ranking.survivors) == 2
 
+    def test_scoring_channels_must_be_outputs(self):
+        ds = exact_two_state_dataset(n_extra_noise=2)
+        with pytest.raises(ValueError, match="not an output"):
+            rfe_rank(SubsetEvaluator(ds), ds.candidate_indices, RFEConfig(max_states=2),
+                     output_idx=[ds.index_of("x1")])
+
+
+class TestMeanImportanceOracle:
+    """The one-fit elimination score against the two-fit oracle in conftest:
+    equal scores, or ``DegenerateSnapshots`` from both."""
+
+    @staticmethod
+    def dataset(rng, n_cand, n_out, zero_inputs, zero_cands):
+        steps = 12
+        manifest = [ChannelMeta("u", "input")]
+        manifest += [ChannelMeta(f"y{j}", "output") for j in range(n_out)]
+        manifest += [ChannelMeta(f"c{j}", "candidate") for j in range(n_cand)]
+        u = np.zeros(steps) if zero_inputs else rng.standard_normal(steps)
+        cands = rng.standard_normal((n_cand, steps)) * 10 ** rng.uniform(-3, 3, (n_cand, 1))
+        cands[list(zero_cands)] = 0.0
+        if n_cand > 1:
+            cands[-1] = 2.0 * cands[0]  # rank-deficient stack
+        rows = np.vstack([u, rng.standard_normal((n_out, steps)), cands])
+        return TimeSeriesDataset(0.1, (rows,), tuple(manifest))
+
+    @staticmethod
+    def outcome(fn):
+        try:
+            return fn()
+        except DegenerateSnapshots:
+            return "degenerate"
+
+    def check(self, ds, survivors, y_rows):
+        ev = SubsetEvaluator(ds)
+        outputs = [ds.output_indices[i] for i in y_rows] if y_rows else list(ds.output_indices)
+        got = self.outcome(lambda: _mean_importance(ev, survivors, outputs))
+        want = self.outcome(lambda: mean_importance_two_fit(ev, survivors, y_rows or None))
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert np.array_equal(got, want)
+        return got
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n_cand=st.integers(min_value=1, max_value=5),
+        n_out=st.integers(min_value=1, max_value=3),
+        zero_inputs=st.booleans(),
+        data=st.data(),
+    )
+    def test_matches_two_fit_oracle(self, seed, n_cand, n_out, zero_inputs, data):
+        zero_cands = data.draw(st.sets(st.integers(min_value=0, max_value=n_cand - 1)))
+        ds = self.dataset(np.random.default_rng(seed), n_cand, n_out, zero_inputs, zero_cands)
+        cands = list(ds.candidate_indices)
+        survivors = sorted(data.draw(st.sets(st.sampled_from(cands), min_size=1)))
+        y_rows = data.draw(st.lists(st.integers(min_value=0, max_value=n_out - 1), unique=True))
+        self.check(ds, survivors, y_rows)
+
+    @pytest.mark.parametrize("zero_inputs", [False, True], ids=["nonzero_inputs", "all_zero_stack"])
+    def test_all_zero_states_degenerate(self, zero_inputs):
+        ds = self.dataset(np.random.default_rng(0), 3, 2, zero_inputs, zero_cands={0, 1, 2})
+        assert self.check(ds, list(ds.candidate_indices), []) == "degenerate"
+
 
 class TestWithinSubsystem:
     def test_single_subsystem_reduces_to_whole_pool(self, rlc_split, rlc_kept):
@@ -270,6 +337,93 @@ class TestCrossInfluence:
         train, _ = rlc_split
         imports = cross_influence(train, rlc_kept, {"": rlc_kept[:2]}, RFEConfig(max_states=2))
         assert imports == {}
+
+
+def cross_influence_oracle(train, pool, shortlists, cfg):
+    """``cross_influence`` as the per-pair ``correlation`` loop it replaced."""
+    labels = list(shortlists.keys())
+    if len(labels) < 2:
+        return {}
+    data = np.hstack(train.realizations)
+    already = {i for sl in shortlists.values() for i in sl}
+    by_label = {}
+    for idx in pool:
+        by_label.setdefault(train.manifest[idx].subsystem, []).append(idx)
+    imports = {}
+    for src in labels:
+        for dst in labels:
+            if src == dst:
+                continue
+            targets = list(shortlists[dst]) + [
+                i for i in train.output_indices if train.manifest[i].subsystem == dst
+            ]
+            scored = []
+            for idx in by_label.get(src, []):
+                if idx in already:
+                    continue
+                score = max(
+                    (abs(correlation(data[idx], data[t])) for t in targets), default=0.0
+                )
+                scored.append((idx, score))
+            scored.sort(key=lambda t: (-t[1], t[0]))
+            imports[(src, dst)] = tuple(
+                CrossImport(index=i, score=s, weak=s < cfg.weak_import_threshold)
+                for i, s in scored[: cfg.cross_top_k]
+            )
+    return imports
+
+
+def two_labels(ds):
+    """The dataset with candidates and outputs dealt alternately to subsystems P and Q."""
+    manifest = tuple(
+        ChannelMeta(c.name, c.role, "PQ"[i % 2] if c.role != "input" else c.subsystem)
+        for i, c in enumerate(ds.manifest)
+    )
+    return TimeSeriesDataset(ds.dt, ds.realizations, manifest)
+
+
+class TestCrossInfluenceOracle:
+    @pytest.mark.parametrize("split_name", ["rlc_split", "coupled_split", "wide_split"])
+    def test_matches_correlation_loop(self, split_name, request):
+        train, _ = request.getfixturevalue(split_name)
+        if split_name == "rlc_split":
+            train = two_labels(train)
+        pool = prefilter(train).kept
+        shortlists = {
+            label: [i for i in pool if train.manifest[i].subsystem == label][:2]
+            for label in train.subsystems()
+        }
+        cfg = RFEConfig(max_states=2, cross_top_k=4)
+        got = cross_influence(train, pool, shortlists, cfg)
+        want = cross_influence_oracle(train, pool, shortlists, cfg)
+        assert got.keys() == want.keys() and len(got) >= 2
+        for key in want:
+            assert [(i.index, i.weak) for i in got[key]] == [(i.index, i.weak) for i in want[key]]
+            for g, w in zip(got[key], want[key]):
+                assert abs(g.score - w.score) <= 1e-12
+
+    def test_constant_channels_correlate_with_nothing(self):
+        # rows of one repeated value whose rounded mean leaves a tiny nonzero
+        # centered row; two such rows must not count as perfectly correlated
+        rng = np.random.default_rng(3)
+        steps = 320
+        manifest = (
+            ChannelMeta("u", "input"),
+            ChannelMeta("y.A", "output", "A"),
+            ChannelMeta("y.B", "output", "B"),
+            ChannelMeta("A.x", "candidate", "A"),
+            ChannelMeta("A.flat", "candidate", "A"),
+            ChannelMeta("B.x", "candidate", "B"),
+        )
+        rows = rng.standard_normal((6, steps))
+        rows[2] = 7.7
+        rows[4] = 0.3
+        ds = TimeSeriesDataset(0.1, (rows,), manifest)
+        shortlists = {"A": [3], "B": [5]}
+        cfg = RFEConfig(max_states=1, cross_top_k=1)
+        got = cross_influence(ds, [3, 4, 5], shortlists, cfg)
+        assert got == cross_influence_oracle(ds, [3, 4, 5], shortlists, cfg)
+        assert got[("A", "B")] == (CrossImport(index=4, score=0.0, weak=True),)
 
 
 class TestMergedSearch:

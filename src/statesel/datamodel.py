@@ -99,6 +99,9 @@ class TimeSeriesDataset:
             raise DatasetError("dataset has no realizations")
         object.__setattr__(self, "realizations", tuple(reals))
         object.__setattr__(self, "manifest", manifest)
+        object.__setattr__(self, "_names", tuple(names))
+        by_role = {r: tuple(i for i, x in enumerate(roles) if x == r) for r in ROLES}
+        object.__setattr__(self, "_roles", by_role)
 
     @property
     def n_channels(self) -> int:
@@ -110,19 +113,19 @@ class TimeSeriesDataset:
 
     @property
     def names(self) -> tuple[str, ...]:
-        return tuple(c.name for c in self.manifest)
+        return self._names
 
     @property
     def input_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, c in enumerate(self.manifest) if c.role == "input")
+        return self._roles["input"]
 
     @property
     def output_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, c in enumerate(self.manifest) if c.role == "output")
+        return self._roles["output"]
 
     @property
     def candidate_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, c in enumerate(self.manifest) if c.role == "candidate")
+        return self._roles["candidate"]
 
     def index_of(self, name: str) -> int:
         for i, c in enumerate(self.manifest):

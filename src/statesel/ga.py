@@ -1,14 +1,20 @@
 """Genetic-algorithm baseline over binary candidate masks.
 
 Each chromosome is a bit vector over the kept candidate pool; its fitness is
-the training cost of a model fitted on the set bits. The population evolves
-by elitism, tournament selection (size 2), uniform crossover on a fraction of
-the offspring, per-bit mutation, and a repair step that enforces
-``1 <= popcount <= max_states``. A restart stops early once the best cost has
-stalled; the best result across restarts wins.
+the training cost of a model fitted on the set bits. A population is one
+boolean matrix, a row per chromosome. Each generation applies elitism,
+tournament selection (size 2), uniform crossover on a fraction of the
+offspring, per-bit mutation and a repair step that enforces
+``1 <= popcount <= max_states`` to the whole matrix, then queries the
+evaluator once per distinct mask. A restart stops early once the best cost
+has stalled; the best result across restarts wins.
 
 Randomness is drawn from per-restart generators pre-split from one seed, so
-results are reproducible and independent of how restarts are scheduled.
+results are reproducible and independent of how restarts are scheduled. A
+generation draws, in order: the ``(2, offspring, 2)`` tournament indices, the
+crossover bits of the first ``round(crossover_fraction * offspring)`` children
+(the rest copy parent 1), the mutation bits, then ``repair``'s keys for the
+children over the cap and its bit for each empty child.
 """
 
 from __future__ import annotations
@@ -88,30 +94,36 @@ class _ResolvedGA:
     max_generations: int
 
 
-def repair(mask: np.ndarray, cap: int, rng: np.random.Generator) -> np.ndarray:
-    """Enforce ``1 <= popcount <= cap`` by flipping uniformly chosen bits."""
-    mask = np.asarray(mask, dtype=bool).copy()
-    count = int(mask.sum())
-    if count > cap:
-        set_bits = np.flatnonzero(mask)
-        clear = rng.choice(set_bits, size=count - cap, replace=False)
-        mask[clear] = False
-    elif count == 0:
-        mask[rng.integers(0, mask.shape[0])] = True
-    return mask
+def repair(masks: np.ndarray, cap: int, rng: np.random.Generator) -> np.ndarray:
+    """Enforce ``1 <= popcount <= cap`` on each row of ``masks`` (or on one 1-D
+    mask): a row over the cap keeps ``cap`` of its set bits, chosen uniformly,
+    and an empty row gets one uniformly chosen bit."""
+    masks = np.array(masks, dtype=bool)
+    rows = masks.reshape(-1, masks.shape[-1])
+    count = rows.sum(axis=1)
+    over = count > cap
+    if over.any():
+        keys = np.where(rows[over], rng.random((int(over.sum()), rows.shape[1])), np.inf)
+        rows[over] = np.argsort(np.argsort(keys, axis=1), axis=1) < cap  # cap lowest keys
+    empty = np.flatnonzero(count == 0)
+    rows[empty, rng.integers(0, rows.shape[1], size=empty.size)] = True
+    return masks
 
 
-def _mask_to_subset(mask: np.ndarray, pool: Sequence[int]) -> tuple[int, ...]:
-    return tuple(pool[i] for i in np.flatnonzero(mask))
+def _rank(population: np.ndarray, fitness: np.ndarray) -> np.ndarray:
+    """Row order under ``subset_key``: cost, then popcount, then lexicographic
+    indices. Among rows of equal popcount the lexicographically smaller index
+    tuple is the larger bit row read with bit 0 most significant, so the bits
+    sort descending. ``lexsort`` is stable: equal keys keep their row order."""
+    bits = np.invert(np.packbits(population, axis=1))
+    return np.lexsort((*bits.T[::-1], population.sum(axis=1), fitness))
 
 
-def _rank_keys(
-    masks: np.ndarray, fitness: np.ndarray, pool: Sequence[int]
-) -> list[tuple[float, int, tuple[int, ...]]]:
-    return [
-        subset_key(fitness[i], _mask_to_subset(masks[i], pool))
-        for i in range(masks.shape[0])
-    ]
+def _fitness(population: np.ndarray, pool: np.ndarray, evaluator: SubsetEvaluator) -> np.ndarray:
+    """Cost of each row, with one ``evaluate`` call per distinct mask."""
+    masks, inverse = np.unique(population, axis=0, return_inverse=True)
+    js = np.array([evaluator.evaluate(tuple(pool[m].tolist())) for m in masks])
+    return js[inverse.reshape(-1)]  # numpy 2.0.0 returns the inverse as a column
 
 
 def _run_restart(
@@ -119,68 +131,50 @@ def _run_restart(
     pool: tuple[int, ...],
     cfg: GAConfig,
     evaluator: SubsetEvaluator,
-) -> dict:
-    """One seeded GA run; returns its best mask, cost, and trace."""
+) -> tuple[tuple[float, int, tuple[int, ...]], list[float]]:
+    """One seeded GA run; returns the ``subset_key`` of its best subset and the
+    best cost after each generation, the initial population's first."""
     genome = len(pool)
+    pool_arr = np.array(pool)
     resolved = cfg.resolve(genome)
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)[restart])
+    size, n_elite = cfg.population_size, resolved.elite_count
+    n_offspring = size - n_elite
+    n_cross = round(cfg.crossover_fraction * n_offspring)
+
+    def score(population: np.ndarray) -> tuple[np.ndarray, tuple[float, int, tuple[int, ...]]]:
+        """Rank order of the rows and the ``subset_key`` of the best one."""
+        fitness = _fitness(population, pool_arr, evaluator)
+        order = _rank(population, fitness)
+        best = order[0]
+        return order, subset_key(float(fitness[best]), tuple(pool_arr[population[best]].tolist()))
 
     p_init = min(0.5, cfg.max_states / genome)
-    population = rng.random((cfg.population_size, genome)) < p_init
-    population = np.stack([repair(ind, cfg.max_states, rng) for ind in population])
+    population = repair(rng.random((size, genome)) < p_init, cfg.max_states, rng)
+    order, best_key = score(population)
+    best_trace = [best_key[0]]
 
-    def evaluate_all(pop: np.ndarray) -> np.ndarray:
-        return np.array([evaluator.evaluate(_mask_to_subset(ind, pool)) for ind in pop])
-
-    fitness = evaluate_all(population)
-    best_trace: list[float] = []
-    best_key = min(_rank_keys(population, fitness, pool))
-    best_trace.append(best_key[0])
-
-    n_offspring = cfg.population_size - resolved.elite_count
-    n_cross = round(cfg.crossover_fraction * n_offspring)
-    generations = 0
     for gen in range(1, resolved.max_generations + 1):
-        generations = gen
-        keys = _rank_keys(population, fitness, pool)
-        order = sorted(range(cfg.population_size), key=lambda i: keys[i])
-        elites = population[order[: resolved.elite_count]].copy()
+        rank = np.argsort(order)
+        contest = rng.integers(0, size, size=(2, n_offspring, 2))
+        first_wins = rank[contest[..., 0]] <= rank[contest[..., 1]]
+        parents = population[np.where(first_wins, contest[..., 0], contest[..., 1])]
+        take_first = np.ones((n_offspring, genome), dtype=bool)
+        take_first[:n_cross] = rng.random((n_cross, genome)) < 0.5
+        children = np.where(take_first, parents[0], parents[1])
+        children ^= rng.random((n_offspring, genome)) < resolved.mutation_rate
+        population = np.vstack([population[order[:n_elite]], repair(children, cfg.max_states, rng)])
+        order, gen_best = score(population)
 
-        def tournament() -> np.ndarray:
-            i, j = rng.integers(0, cfg.population_size, size=2)
-            return population[i] if keys[i] <= keys[j] else population[j]
-
-        children = []
-        for c in range(n_offspring):
-            p1 = tournament()
-            p2 = tournament()
-            if c < n_cross:
-                take = rng.random(genome) < 0.5
-                child = np.where(take, p1, p2)
-            else:
-                child = p1.copy()
-            flip = rng.random(genome) < resolved.mutation_rate
-            child = np.logical_xor(child, flip)
-            children.append(repair(child, cfg.max_states, rng))
-        population = np.vstack([elites, np.stack(children)])
-        fitness = evaluate_all(population)
-
-        gen_best = min(_rank_keys(population, fitness, pool))
         best_key = min(best_key, gen_best)
         best_trace.append(best_key[0])
-        if (
-            gen >= cfg.stall_generations
-            and best_trace[gen - cfg.stall_generations] - best_trace[gen]
-            < cfg.stall_tolerance
+        # a trace stuck at inf also stalls: inf - inf is nan, which is not >= tol
+        if gen >= cfg.stall_generations and not (
+            best_trace[gen - cfg.stall_generations] - best_trace[gen] >= cfg.stall_tolerance
         ):
             break
 
-    return {
-        "best_subset": best_key[2],
-        "best_j": best_key[0],
-        "trace": best_trace,
-        "generations": generations,
-    }
+    return best_key, best_trace
 
 
 def ga_select(
@@ -192,25 +186,25 @@ def ga_select(
 ) -> SelectionResult:
     """Best-of-restarts GA search over the kept candidate pool.
 
-    Restarts are independent and may run in parallel. Serial restarts share
-    ``evaluator``'s cache; each restart run in a worker starts from a copy of
-    it and keeps its own fits. Either way changes speed but never results.
+    Restarts are independent and may run in parallel. Each generation of a
+    restart queries ``evaluator`` once per distinct mask in its population.
+    Serial restarts share ``evaluator``'s cache; each restart run in a worker
+    starts from a copy of it and keeps its own fits. Either way changes speed
+    but never results.
     """
     pool = tuple(sorted(set(pool)))
     if not pool:
         raise DatasetError("candidate pool is empty")
     fn = partial(_run_restart, pool=pool, cfg=cfg, evaluator=evaluator)
     runs = run_restarts(fn, cfg.restarts, workers)
-    best_run = min(runs, key=lambda r: subset_key(r["best_j"], r["best_subset"]))
-    restart_js = [r["best_j"] for r in runs]
+    best, trace = min(runs, key=lambda run: run[0])
+    restart_js = [key[0] for key, _ in runs]
     diagnostics = {
         "restart_best": [
-            {"indices": list(r["best_subset"]), "J": r["best_j"], "generations": r["generations"]}
-            for r in runs
+            {"indices": list(key[2]), "J": key[0], "generations": len(t) - 1} for key, t in runs
         ],
         "j_restart_best": min(restart_js),
         "j_restart_median": float(np.median(restart_js)),
-        "trace": best_run["trace"],
+        "trace": trace,
     }
-    best = subset_key(best_run["best_j"], best_run["best_subset"])
     return finish_winner(evaluator, test, best, "ga", diagnostics)

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from statesel import ga
 from statesel.datamodel import SplitSpec, split
-from statesel.errors import DatasetError
+from statesel.errors import DatasetError, DegenerateSnapshots
 from statesel.ga import GAConfig, ga_select, repair
 from statesel.selection import SubsetEvaluator, subset_key
 
@@ -66,6 +67,106 @@ class TestRepair:
             assert out.sum() == 1
         else:
             assert np.array_equal(out, mask)
+
+
+class TestMatrixRepair:
+    @settings(max_examples=50, deadline=None)
+    @given(
+        rows=st.integers(min_value=1, max_value=12).flatmap(
+            lambda n: st.lists(st.lists(st.booleans(), min_size=n, max_size=n), min_size=1, max_size=10)
+        ),
+        cap=st.integers(min_value=1, max_value=12),
+        seed=st.integers(min_value=0, max_value=99),
+    )
+    def test_row_invariants(self, rows, cap, seed):
+        masks = np.array(rows, dtype=bool)
+        out = repair(masks, cap, np.random.default_rng(seed))
+        assert out.shape == masks.shape
+        for mask, row in zip(masks, out):
+            assert 1 <= row.sum() <= cap
+            if mask.sum() > cap:
+                assert row.sum() == cap
+                assert np.all(mask | ~row)
+            elif mask.sum() == 0:
+                assert row.sum() == 1
+            else:
+                assert np.array_equal(row, mask)
+        one = repair(masks[:1], cap, np.random.default_rng(seed))
+        assert np.array_equal(one[0], repair(masks[0], cap, np.random.default_rng(seed)))
+
+    def test_input_not_modified(self):
+        masks = np.ones((3, 5), dtype=bool)
+        repair(masks, 2, np.random.default_rng(0))
+        assert masks.all()
+
+    def test_kept_bits_are_uniform(self):
+        out = repair(np.ones((4000, 6), dtype=bool), 3, np.random.default_rng(3))
+        assert np.all(out.sum(axis=1) == 3)
+        assert np.all(np.abs(out.mean(axis=0) - 0.5) < 0.05)
+        empty = repair(np.zeros((6000, 3), dtype=bool), 2, np.random.default_rng(4))
+        assert np.all(np.abs(empty.mean(axis=0) - 1 / 3) < 0.05)
+
+
+class TestRank:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        genome=st.integers(min_value=1, max_value=20),
+        size=st.integers(min_value=1, max_value=40),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_matches_subset_key_sort(self, genome, size, seed):
+        rng = np.random.default_rng(seed)
+        population = rng.random((size, genome)) < rng.uniform(0.1, 0.9)
+        population[rng.integers(0, size, size // 3)] = population[0]  # repeated masks
+        fitness = rng.choice([0.25, 0.5, 1.0, np.inf], size=size)  # tied costs
+        pool = np.sort(rng.choice(1000, size=genome, replace=False))
+        keys = [subset_key(fitness[i], tuple(pool[population[i]].tolist())) for i in range(size)]
+        assert ga._rank(population, fitness).tolist() == sorted(range(size), key=keys.__getitem__)
+
+
+class CountingEvaluator:
+    """Evaluator stub: a fixed cost per subset, and a log of every query."""
+
+    def __init__(self, cost=lambda s: 1.0 / (1 + sum(s)) + len(s)):
+        self.cost = cost
+        self.calls = []
+
+    def evaluate(self, subset):
+        self.calls.append(tuple(subset))
+        return self.cost(subset)
+
+
+class TestScoring:
+    def test_one_query_per_distinct_mask_each_generation(self, monkeypatch):
+        ev = CountingEvaluator()
+        pool = (2, 3, 5, 7, 11, 13)
+        repeats = []  # rows per generation whose mask an earlier row already has
+        fitness_of = ga._fitness
+
+        def checked(population, pool_arr, evaluator):
+            before = len(ev.calls)
+            fitness = fitness_of(population, pool_arr, evaluator)
+            subsets = [tuple(pool_arr[row].tolist()) for row in population]
+            calls = ev.calls[before:]
+            assert sorted(calls) == sorted(set(subsets))
+            assert fitness.tolist() == [ev.cost(s) for s in subsets]
+            repeats.append(len(population) - len(set(subsets)))
+            return fitness
+
+        monkeypatch.setattr(ga, "_fitness", checked)
+        cfg = small_cfg(max_states=3, population_size=30, restarts=1, max_generations=15)
+        _, trace = ga._run_restart(0, pool, cfg, ev)
+        assert len(repeats) == len(trace)  # the initial population, then each generation
+        assert sum(repeats) > 0
+
+    def test_never_feasible_restart_stalls(self):
+        ev = CountingEvaluator(cost=lambda s: float("inf"))
+        cfg = GAConfig(max_states=2, population_size=20, restarts=2, seed=5, stall_generations=10)
+        assert cfg.resolve(4).max_generations == 400
+        _, trace = ga._run_restart(0, (0, 1, 2, 3), cfg, ev)
+        assert trace == [float("inf")] * (cfg.stall_generations + 1)  # the initial best, then 10
+        with pytest.raises(DegenerateSnapshots):
+            ga_select(ev, None, (0, 1, 2, 3), cfg)
 
 
 class TestEvaluate:

@@ -7,18 +7,23 @@ is formed from a truncated SVD whose rank is capped by the condition number of
 the retained singular values. The output map ``Cd`` is the minimum-norm
 least-squares solution of ``Y ~ Cd X`` through the truncated pseudoinverse of
 ``X``. Direct input-to-output feedthrough is fixed to zero. Open-loop rollout
-over ``K`` steps is a prefix scan in the Schur basis of ``Ad``: one real Schur
-factorization and about ``2 log2 K`` small matrix products, no step loop.
+over ``K`` steps is a prefix scan in the Schur basis of ``Ad``: about
+``2 log2 K`` small matrix products, no step loop. A model's real Schur
+factorization is computed by its first rollout and reused by the rest.
+
+``scipy.linalg`` is imported by the code that needs it (the Schur
+factorization and ``c2d_zoh``), so commands that neither roll out nor
+discretize do not load scipy.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
 
 from .datamodel import SnapshotSet, TimeSeriesDataset, assemble_snapshots
 from .errors import DatasetError, DegenerateSnapshots
@@ -78,6 +83,13 @@ class StateSpaceModel:
     @property
     def Dd(self) -> np.ndarray:
         return np.zeros((self.Cd.shape[0], self.Bd.shape[1]))
+
+    @cached_property
+    def _schur(self) -> tuple[np.ndarray, np.ndarray]:
+        """Real Schur factors ``(T, Q)`` of ``Ad``, computed once per model."""
+        import scipy.linalg
+
+        return scipy.linalg.schur(self.Ad)
 
 
 def truncated_svd(M: np.ndarray, policy: TruncationPolicy) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
@@ -157,7 +169,9 @@ def rollout(model: StateSpaceModel, x0: np.ndarray, V: np.ndarray) -> tuple[np.n
 
     With ``Ad = Q T Q'`` (real Schur), column ``k`` of ``Z`` starts as
     ``Q' Bd v(k)`` (plus ``T Q' x0`` at ``k = 0``); for ``s = 1, 2, 4, ... < K``
-    it adds ``T^s`` times column ``k - s``, and ``Xh = Q Z``. Squaring the
+    it adds ``T^s`` times column ``k - s``, and ``Xh = Q Z``. The factors
+    are the model's, so rolling one model out over several realizations
+    factors ``Ad`` once. Squaring the
     triangular ``T``, not ``Ad``, keeps a non-normal ``Ad`` accurate. Once
     ``T^s`` overflows the model has diverged: every state is NaN or inf from
     column ``s`` on, even if a mode no input reaches keeps the loop finite.
@@ -168,7 +182,7 @@ def rollout(model: StateSpaceModel, x0: np.ndarray, V: np.ndarray) -> tuple[np.n
         raise ValueError(f"x0 has length {x0.shape[0]}, model has {model.n_states} states")
     if V.ndim != 2 or V.shape[0] != model.Bd.shape[1]:
         raise ValueError(f"V must be {model.Bd.shape[1]} x K, got {V.shape}")
-    T, Q = scipy.linalg.schur(model.Ad)
+    T, Q = model._schur
     Z = (Q.T @ model.Bd) @ V
     Z[:, :1] += T @ (Q.T @ x0)[:, None]
     P, s = T, 1
@@ -189,6 +203,8 @@ def c2d_zoh(A: np.ndarray, B: np.ndarray, dt: float) -> tuple[np.ndarray, np.nda
     ``Bd = (integral of exp(A tau) d tau) B`` in one call. Used as the
     verification oracle for the identification path.
     """
+    import scipy.linalg
+
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:

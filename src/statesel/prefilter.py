@@ -11,7 +11,9 @@ Three rules run in order on the training split:
    its lowest-index member.
 
 Complete linkage guarantees that every removed duplicate meets the
-correlation bar against its kept representative.
+correlation bar against its kept representative. The clustering is done in
+numpy here (``_complete_linkage``); it forms the partition of scipy's
+``fcluster(complete(...), t, criterion="distance")``.
 """
 
 from __future__ import annotations
@@ -21,8 +23,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.cluster import hierarchy
-from scipy.spatial.distance import squareform
 
 from .datamodel import TimeSeriesDataset
 from .errors import DatasetError
@@ -93,6 +93,68 @@ def _unit_rows(rows: np.ndarray) -> np.ndarray:
     return centered / np.where(const, 1.0, norms)[:, None]
 
 
+def _complete_linkage(dist: np.ndarray, t: float) -> list[list[int]]:
+    """The clusters of two or more rows that complete linkage on the symmetric
+    distance matrix ``dist``, cut at height ``t``, forms, each sorted: the
+    partition of scipy's ``fcluster(complete(dist), t, criterion="distance")``
+    without its singletons. The diagonal of ``dist`` is not read.
+
+    Only rows within ``t`` of another row can merge, and only those are
+    clustered, by the nearest-neighbour chain: follow nearest neighbours
+    until two clusters are each other's nearest, then merge them; a merged
+    cluster's distance to another is the larger of its two parts' distances.
+    For complete linkage this makes the merges of "merge the two closest
+    clusters" in ``O(k)`` row scans for ``k`` rows. Once the top of the chain
+    has no cluster within ``t``, every cluster on the chain is final. Ties go
+    to the previous chain element, then to the lowest index, as in scipy's
+    chain; scipy's chain also walks the other rows, so rows at exactly equal
+    distances may still merge in another order than there.
+    """
+    near = dist <= t
+    np.fill_diagonal(near, False)
+    active = np.flatnonzero(near.any(axis=1))
+    d = dist[np.ix_(active, active)]
+    np.fill_diagonal(d, np.inf)
+    members = [[row] for row in active.tolist()]
+    alive = np.ones(len(active), dtype=bool)  # neither merged away nor final
+    chain: list[int] = []
+    while True:
+        if not chain:
+            if not alive.any():
+                break
+            chain.append(int(np.argmax(alive)))
+        x = chain[-1]
+        y = int(np.argmin(d[x]))
+        if len(chain) > 1 and not d[x, y] < d[x, chain[-2]]:
+            y = chain[-2]
+        if not d[x, y] <= t:
+            alive[chain] = False
+            chain.clear()
+        elif len(chain) > 1 and y == chain[-2]:
+            del chain[-2:]
+            x, y = min(x, y), max(x, y)
+            d[y] = np.maximum(d[x], d[y])
+            d[:, y] = d[y]
+            d[y, y] = np.inf
+            d[x] = d[:, x] = np.inf
+            members[y] += members[x]
+            members[x] = []
+            alive[x] = False
+        else:
+            chain.append(y)
+    return [sorted(m) for m in members if len(m) > 1]
+
+
+def _range_variance(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Which rows are constant, and each row's variance after division by its
+    range (0 for a constant row)."""
+    span = rows.max(axis=1) - rows.min(axis=1)
+    const = span == 0.0
+    var = np.zeros(len(rows))
+    var[~const] = np.var(rows[~const] / span[~const, None], axis=1)
+    return const, var
+
+
 def prefilter(train: TimeSeriesDataset, cfg: PrefilterConfig | None = None) -> PrefilterReport:
     """Partition candidate channels of the training split into kept and removed."""
     cfg = cfg or PrefilterConfig()
@@ -104,14 +166,9 @@ def prefilter(train: TimeSeriesDataset, cfg: PrefilterConfig | None = None) -> P
 
     # rule 1: near-constants on range-standardized channels, so epsilon is unit-free
     survivors: list[int] = []
-    for idx in cand:
-        z = data[idx]
-        rng = float(z.max() - z.min())
-        if rng == 0.0:
-            removed.append(Removal(index=idx, reason="near_constant", evidence=0.0))
-            continue
-        var = float(np.var(z / rng))
-        if var < cfg.variance_epsilon:
+    const, variance = _range_variance(data[cand])
+    for idx, is_const, var in zip(cand, const.tolist(), variance.tolist()):
+        if is_const or var < cfg.variance_epsilon:
             removed.append(Removal(index=idx, reason="near_constant", evidence=var))
         else:
             survivors.append(idx)
@@ -126,33 +183,26 @@ def prefilter(train: TimeSeriesDataset, cfg: PrefilterConfig | None = None) -> P
         else:
             kept_after_inputs.append(idx)
 
-    # rule 3: duplicate clusters among survivors, one representative each
+    # rule 3: duplicate clusters among survivors, each kept as its lowest
+    # index (``kept`` is ascending, so that is the cluster's first position)
     kept = kept_after_inputs
     if cfg.dedupe_enabled and len(kept) > 1:
         unit = _unit_rows(data[kept])
         corr = np.clip(np.abs(unit @ unit.T), 0.0, 1.0)
         dist = 1.0 - corr
-        np.fill_diagonal(dist, 0.0)
-        condensed = squareform(dist, checks=False)
-        link = hierarchy.complete(condensed)
-        labels = hierarchy.fcluster(link, t=1.0 - cfg.dedupe_corr_threshold, criterion="distance")
-        final: list[int] = []
-        for lab in sorted(set(labels)):
-            members = [kept[i] for i in np.flatnonzero(labels == lab)]
-            rep = min(members)
-            final.append(rep)
-            rep_pos = kept.index(rep)
-            for m in members:
-                if m != rep:
-                    removed.append(
-                        Removal(
-                            index=m,
-                            reason="duplicate",
-                            evidence=float(corr[kept.index(m), rep_pos]),
-                            representative=rep,
-                        )
+        duplicates: set[int] = set()
+        for rep, *others in _complete_linkage(dist, 1.0 - cfg.dedupe_corr_threshold):
+            for m in others:
+                removed.append(
+                    Removal(
+                        index=kept[m],
+                        reason="duplicate",
+                        evidence=float(corr[m, rep]),
+                        representative=kept[rep],
                     )
-        kept = sorted(final)
+                )
+            duplicates.update(others)
+        kept = [idx for pos, idx in enumerate(kept) if pos not in duplicates]
 
     removed.sort(key=lambda r: r.index)
     return PrefilterReport(kept=tuple(sorted(kept)), removed=tuple(removed))

@@ -164,6 +164,18 @@ def finish_winner(
 _WORKER_EVAL: SubsetEvaluator | None = None
 
 
+def _worker_pool(workers: int, **kwargs) -> ProcessPoolExecutor:
+    """A process pool whose forked workers inherit ``scipy.linalg``.
+
+    Every worker rolls models out, and rollout imports ``scipy.linalg`` on
+    first use; importing it here, before the fork, spares each worker that
+    import.
+    """
+    import scipy.linalg  # noqa: F401
+
+    return ProcessPoolExecutor(max_workers=workers, **kwargs)
+
+
 def _init_worker(train: TimeSeriesDataset, policy: TruncationPolicy, scale_floor: float) -> None:
     global _WORKER_EVAL
     _WORKER_EVAL = SubsetEvaluator(train, policy, scale_floor)
@@ -193,8 +205,8 @@ def evaluate_subsets(
     if len(todo) >= 4:
         size = math.ceil(len(todo) / (workers * 4))
         chunks = [todo[i : i + size] for i in range(0, len(todo), size)]
-        with ProcessPoolExecutor(
-            max_workers=workers,
+        with _worker_pool(
+            workers,
             initializer=_init_worker,
             initargs=(evaluator.train, evaluator.policy, evaluator.scale_floor),
         ) as pool:
@@ -211,5 +223,5 @@ def run_restarts(
     """Run independent restart computations, preserving restart order."""
     if workers <= 1 or n_restarts <= 1:
         return [fn(r) for r in range(n_restarts)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with _worker_pool(workers) as pool:
         return list(pool.map(fn, range(n_restarts)))

@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,6 +16,9 @@ from statesel.benchgen import (
 from statesel.cli import main
 from statesel.datamodel import SplitSpec, emit, ingest, split
 from statesel.dmdc import fit_model, save_model
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def small_synth_spec_doc():
@@ -310,3 +316,36 @@ class TestReportAndPrefilter:
         lines = out.read_text().splitlines()
         assert lines[0].startswith("index,name,decision")
         assert len(lines) == 44  # header + 43 candidates
+
+
+class TestColdStart:
+    def test_import_prefilter_and_report_load_no_scipy(self, tmp_path):
+        data = tmp_path / "data"
+        write_small_rlc(data)
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "cost_table.csv").write_text("method,cap,selected_count,J_train,J_test\n")
+        script = "\n".join(
+            [
+                "import sys",
+                "def scipy_modules():",
+                "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')",
+                "import statesel.cli",
+                "assert not scipy_modules(), ('import', scipy_modules())",
+                "prefilter = ['prefilter', '--data', sys.argv[1], '--manifest', sys.argv[2], '--out', sys.argv[3]]",
+                "assert statesel.cli.main(prefilter) == 0",
+                "assert not scipy_modules(), ('prefilter', scipy_modules())",
+                "assert statesel.cli.main(['report', '--run', sys.argv[4]]) == 0",
+                "assert not scipy_modules(), ('report', scipy_modules())",
+            ]
+        )
+        args = [data, data / "manifest.json", tmp_path / "report.csv", run]
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *map(str, args)],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert len((tmp_path / "report.csv").read_text().splitlines()) == 44

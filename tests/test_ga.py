@@ -9,7 +9,8 @@ from statesel import ga
 from statesel.datamodel import SplitSpec, split
 from statesel.errors import DatasetError, DegenerateSnapshots
 from statesel.ga import GAConfig, ga_select, repair
-from statesel.selection import SubsetEvaluator, subset_key
+from statesel.rfe import enumerate_subsets
+from statesel.selection import SubsetEvaluator, evaluate_subsets, subset_key
 
 from conftest import make_lti_dataset
 
@@ -248,6 +249,12 @@ class TestGaSelect:
         serial = ga_select(SubsetEvaluator(train), test, ds.candidate_indices, cfg, workers=1)
         parallel = ga_select(SubsetEvaluator(train), test, ds.candidate_indices, cfg, workers=2)
         assert serial.to_dict() == parallel.to_dict()
+        # the pool of evaluate_subsets, built by the same helper as the GA's
+        subsets = enumerate_subsets(ds.candidate_indices, 2)
+        one, two = SubsetEvaluator(train), SubsetEvaluator(train)
+        assert evaluate_subsets(subsets, one, workers=1) == evaluate_subsets(subsets, two, workers=2)
+        assert one.fit_count == len(subsets) and two.fit_count == 0
+        assert all(one.breakdown(s) == two.breakdown(s) for s in subsets)
 
     def test_empty_pool_rejected(self, lti_split):
         _, train, test = lti_split

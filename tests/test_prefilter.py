@@ -1,11 +1,19 @@
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.cluster import hierarchy
+from scipy.spatial.distance import squareform
 
 from statesel.benchgen import RLC_EXPECTED_KEPT
 from statesel.datamodel import ChannelMeta, TimeSeriesDataset
 from statesel.errors import DatasetError
 from statesel.prefilter import (
     PrefilterConfig,
+    _complete_linkage,
+    _unit_rows,
     correlation,
     prefilter,
     write_report_csv,
@@ -205,3 +213,143 @@ class TestRule2Oracle:
             assert abs(r.evidence - evidence[r.index]) <= 1e-12
         if split_name != "coupled_split":
             assert collinear, "the case should exercise a removal"
+
+
+class TestRule1Oracle:
+    """Rule 1 against the per-row ``np.var`` loop it replaced."""
+
+    @pytest.mark.parametrize("split_name", ["rlc_split", "coupled_split", "wide_split"])
+    def test_matches_per_row_loop(self, split_name, request):
+        train, _ = request.getfixturevalue(split_name)
+        data = np.hstack(train.realizations)
+        data[train.candidate_indices[0]] = 4.2  # one constant row
+        train = TimeSeriesDataset(train.dt, (data,), train.manifest)
+        for eps in (0.0, 1e-12, 0.05):
+            report = prefilter(train, PrefilterConfig(variance_epsilon=eps, dedupe_enabled=False))
+            expected = {}
+            for idx in train.candidate_indices:
+                z = data[idx]
+                rng = float(z.max() - z.min())
+                if rng == 0.0:
+                    expected[idx] = 0.0
+                elif (var := float(np.var(z / rng))) < eps:
+                    expected[idx] = var
+            got = {r.index: r.evidence for r in report.removed if r.reason == "near_constant"}
+            assert got == expected  # bit for bit
+            assert all(type(e) is float for e in got.values())
+
+
+def scipy_clusters(dist, t):
+    """The clusters of two or more rows that scipy's complete linkage cut at ``t`` forms."""
+    labels = hierarchy.fcluster(
+        hierarchy.complete(squareform(dist, checks=False)), t=t, criterion="distance"
+    )
+    groups = {}
+    for i, lab in enumerate(labels):
+        groups.setdefault(lab, []).append(i)
+    return sorted(g for g in groups.values() if len(g) > 1)
+
+
+def clusters(dist, t):
+    return sorted(_complete_linkage(dist, t))
+
+
+def pairwise(points):
+    return np.sqrt(((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=-1))
+
+
+@st.composite
+def chained_points(draw):
+    """Random-walk points, so near pairs chain into components that are not
+    cliques, with some points repeated exactly (distance 0) and a threshold
+    that is either free or exactly one of the pair distances."""
+    n = draw(st.integers(2, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.integers(1, 3))
+    points = np.cumsum(rng.exponential(1.0, (n, dim)), axis=0)[rng.permutation(n)]
+    repeats = draw(st.integers(0, n // 2))
+    points[rng.integers(0, n, repeats)] = points[rng.integers(0, n, repeats)]
+    dist = pairwise(points)
+    if draw(st.booleans()):
+        t = draw(st.floats(0.0, 4.0))
+    else:
+        upper = dist[np.triu_indices(n, 1)]
+        t = float(upper[draw(st.integers(0, upper.size - 1))])
+    return dist, t
+
+
+class TestCompleteLinkage:
+    """The numpy complete linkage of rule 3 against scipy's as the oracle.
+    Partitions are compared, not label numbers."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(chained_points())
+    def test_partition_matches_scipy(self, case):
+        dist, t = case
+        assert clusters(dist, t) == scipy_clusters(dist, t)
+
+    def test_chained_component_is_split(self):
+        # 0-1 and 1-2 are near, 0-2 is not: one component, two clusters
+        dist = pairwise(np.array([[0.0], [0.9], [1.7]]))
+        assert clusters(dist, 1.0) == [[1, 2]] == scipy_clusters(dist, 1.0)
+
+    def test_exact_duplicates(self):
+        points = np.array([[0.0], [5.0], [0.0], [5.0], [0.0], [9.0]])
+        dist = pairwise(points)
+        assert clusters(dist, 0.0) == [[0, 2, 4], [1, 3]] == scipy_clusters(dist, 0.0)
+
+    def test_threshold_equal_to_a_distance_merges(self):
+        dist = pairwise(np.array([[0.0], [0.75], [3.0]]))
+        t = float(dist[0, 1])
+        assert clusters(dist, t) == [[0, 1]] == scipy_clusters(dist, t)
+        assert clusters(dist, np.nextafter(t, 0.0)) == [] == scipy_clusters(dist, np.nextafter(t, 0.0))
+
+    def test_no_near_pairs(self):
+        dist = pairwise(np.arange(50.0)[:, None] ** 1.5)
+        assert clusters(dist, 0.5) == [] == scipy_clusters(dist, 0.5)
+
+    def test_large_clique_is_one_cluster(self):
+        points = np.random.default_rng(3).uniform(0.0, 0.1, (1000, 2))
+        dist = pairwise(points)
+        assert clusters(dist, 0.2) == [list(range(1000))] == scipy_clusters(dist, 0.2)
+
+    def test_long_chain(self):
+        # 3000 rows, each within t of its two neighbours only: one component
+        # that is no clique. Labelling it one row scan per step and merging it
+        # by the nearest-neighbour chain takes well under a second; a cost in
+        # the square of the chain length, in Python steps or in passes over
+        # the matrix, takes far longer than the bound.
+        rng = np.random.default_rng(4)
+        points = (0.6 * np.arange(3000.0) + rng.uniform(0.0, 0.05, 3000))[rng.permutation(3000), None]
+        dist = pairwise(points)
+        t0 = time.perf_counter()
+        got = clusters(dist, 1.0)
+        elapsed = time.perf_counter() - t0
+        assert got == scipy_clusters(dist, 1.0)
+        assert len(got) >= 1000
+        assert elapsed < 10.0
+
+
+class TestRule3Oracle:
+    """Rule 3 against scipy's complete linkage on the same distances."""
+
+    @pytest.mark.parametrize("split_name", ["rlc_split", "coupled_split", "wide_split"])
+    def test_matches_scipy_linkage(self, split_name, request):
+        train, _ = request.getfixturevalue(split_name)
+        cfg = PrefilterConfig()
+        kept = list(prefilter(train, PrefilterConfig(dedupe_enabled=False)).kept)
+        report = prefilter(train, cfg)
+        unit = _unit_rows(np.hstack(train.realizations)[kept])
+        corr = np.clip(np.abs(unit @ unit.T), 0.0, 1.0)
+        dist = 1.0 - corr
+        np.fill_diagonal(dist, 0.0)
+        expected = {}
+        for members in scipy_clusters(dist, 1.0 - cfg.dedupe_corr_threshold):
+            rep = members[0]
+            for m in members[1:]:
+                expected[kept[m]] = (float(corr[m, rep]), kept[rep])
+        got = {r.index: (r.evidence, r.representative) for r in report.removed if r.reason == "duplicate"}
+        assert got == expected
+        assert report.kept == tuple(i for i in kept if i not in expected)
+        if split_name == "rlc_split":
+            assert expected, "the case should exercise a removal"

@@ -89,12 +89,22 @@ def _prepare_out(out: str | Path, overwrite: bool) -> Path:
 
 
 def _resolve_workers(flag: int | None, cfg_value: int = 1) -> int:
-    if flag is not None:
-        return flag
+    """The worker count from the flag, else the environment, else the config
+    file; a count below 1 is an error that names where it came from."""
     env = os.environ.get(ENV_WORKERS)
-    if env is not None:
-        return int(env)
-    return cfg_value
+    if flag is not None:
+        value, source = flag, "--workers"
+    elif env is not None:
+        value, source = env, ENV_WORKERS
+        try:
+            value = int(env)
+        except ValueError:
+            pass
+    else:
+        value, source = cfg_value, "config field 'workers'"
+    if not isinstance(value, int) or value < 1:
+        raise ValueError(f"{source} must be a positive integer, got {value!r}")
+    return value
 
 
 def cmd_generate(args: argparse.Namespace) -> int:

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .datamodel import TimeSeriesDataset
-from .dmdc import StateSpaceModel, rollout
+from .dmdc import StateSpaceModel, channel_rows, rollout
 from .errors import DatasetError
 
 
@@ -81,11 +81,46 @@ def cost(
         raise DatasetError("cost needs at least one column")
     if scales.sigma_x.shape[0] != n or scales.sigma_y.shape[0] != p:
         raise DatasetError("scales do not match prediction dimensions")
-    ex = (pred_x - true_x) / scales.sigma_x[:, None]
-    ey = (pred_y - true_y) / scales.sigma_y[:, None]
-    j_state = float(np.sum(ex * ex) / (n * L))
-    j_output = float(np.sum(ey * ey) / (p * L))
+    # a diverged prediction overflows here; its J is inf or NaN, which the
+    # evaluator scores as infeasible
+    with np.errstate(over="ignore", invalid="ignore"):
+        ex = (pred_x - true_x) / scales.sigma_x[:, None]
+        ey = (pred_y - true_y) / scales.sigma_y[:, None]
+        j_state = float(np.sum(ex * ex) / (n * L))
+        j_output = float(np.sum(ey * ey) / (p * L))
     return CostBreakdown(J=j_state + j_output, J_state=j_state, J_output=j_output, n=n, p=p, L=L)
+
+
+@dataclass(frozen=True)
+class RolloutTruth:
+    """What an open-loop rollout of the states ``channels`` over a dataset is
+    scored against, stacked once for any subset of them.
+
+    Realizations lie side by side, each from its column in ``starts``. ``x0``
+    holds each realization's initial states, one column each; ``V`` the
+    inputs that drive steps ``1..l-1``; ``Xp`` and ``Yp`` the recorded states
+    and outputs at those steps.
+    """
+
+    channels: tuple[int, ...]
+    x0: np.ndarray
+    V: np.ndarray
+    Xp: np.ndarray
+    Yp: np.ndarray
+    starts: tuple[int, ...]
+
+    @classmethod
+    def of(cls, ds: TimeSeriesDataset, state_idx: Sequence[int]) -> "RolloutTruth":
+        idx, reals = list(state_idx), ds.realizations
+        lengths = [arr.shape[1] - 1 for arr in reals]
+        return cls(
+            channels=tuple(idx),
+            x0=np.column_stack([arr[idx, 0] for arr in reals]),
+            V=np.hstack([arr[list(ds.input_indices), :-1] for arr in reals]),
+            Xp=np.hstack([arr[idx, 1:] for arr in reals]),
+            Yp=np.hstack([arr[list(ds.output_indices), 1:] for arr in reals]),
+            starts=tuple(np.cumsum([0] + lengths[:-1]).tolist()),
+        )
 
 
 def rollout_traces(
@@ -93,36 +128,39 @@ def rollout_traces(
 ) -> list[dict]:
     """Per-realization predicted and true trajectories.
 
-    Each rollout starts from the realization's true initial state and is
-    driven by the recorded inputs; steps ``1..l-1`` are paired with the
-    recorded states and outputs.
+    Each realization starts from its true initial state and is driven by its
+    recorded inputs; steps ``1..l-1`` are paired with the recorded states and
+    outputs. All realizations are rolled out in one call.
     """
-    out = []
-    state_idx = list(state_idx)
-    in_idx = list(ds.input_indices)
-    out_idx = list(ds.output_indices)
-    for r, arr in enumerate(ds.realizations):
-        Xh, Yh = rollout(model, arr[state_idx, 0], arr[in_idx, :-1])
-        out.append(
-            {
-                "realization": r,
-                "pred_x": Xh,
-                "pred_y": Yh,
-                "true_x": arr[state_idx, 1:],
-                "true_y": arr[out_idx, 1:],
-            }
-        )
-    return out
+    truth = RolloutTruth.of(ds, state_idx)
+    Xh, Yh = rollout(model, truth.x0, truth.V, truth.starts)
+    bounds = list(truth.starts) + [Xh.shape[1]]
+    return [
+        {
+            "realization": r,
+            "pred_x": Xh[:, a:b],
+            "pred_y": Yh[:, a:b],
+            "true_x": truth.Xp[:, a:b],
+            "true_y": truth.Yp[:, a:b],
+        }
+        for r, (a, b) in enumerate(zip(bounds, bounds[1:]))
+    ]
 
 
 def rollout_cost(
     model: StateSpaceModel,
-    ds: TimeSeriesDataset,
+    data: TimeSeriesDataset | RolloutTruth,
     state_idx: Sequence[int],
     scales: ChannelScales,
 ) -> CostBreakdown:
-    """Score ``rollout_traces`` over every realization of ``ds``, realizations
-    concatenated columnwise."""
-    traces = rollout_traces(model, ds, state_idx)
-    keys = ("pred_x", "pred_y", "true_x", "true_y")
-    return cost(*(np.hstack([tr[k] for tr in traces]) for k in keys), scales)
+    """Cost of one rollout over every realization of ``data``, realizations
+    concatenated columnwise, scored as ``rollout_traces`` pairs them.
+
+    ``data`` is a dataset, or the ``RolloutTruth`` of a pool of its channels
+    that holds ``state_idx``, which scores the same from rows stacked once
+    per pool.
+    """
+    truth = data if isinstance(data, RolloutTruth) else RolloutTruth.of(data, state_idx)
+    rows = channel_rows(truth.channels, state_idx)
+    Xh, Yh = rollout(model, truth.x0[rows], truth.V, truth.starts)
+    return cost(Xh, Yh, truth.Xp[rows], truth.Yp, scales)

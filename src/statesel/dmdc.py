@@ -6,10 +6,22 @@ through the pseudoinverse of the stacked matrix ``[X; V]``. The pseudoinverse
 is formed from a truncated SVD whose rank is capped by the condition number of
 the retained singular values. The output map ``Cd`` is the minimum-norm
 least-squares solution of ``Y ~ Cd X`` through the truncated pseudoinverse of
-``X``. Direct input-to-output feedthrough is fixed to zero. Open-loop rollout
-over ``K`` steps is a prefix scan in the Schur basis of ``Ad``: about
-``2 log2 K`` small matrix products, no step loop. A model's real Schur
-factorization is computed by its first rollout and reused by the rest.
+``X``. Direct input-to-output feedthrough is fixed to zero.
+
+Every model is fitted from a ``PoolReduction``: one Householder QR of a
+pool's stacked snapshots, ``Q`` never formed, whose triangular factor holds,
+for every subset of the pool, a snapshot set of ``min(L, pool + inputs)``
+columns with the singular values and least-squares solutions of the
+``L``-column one. A fit then costs the same whatever ``L`` is, and no Gram
+matrix is formed. ``fit_model`` fits a subset from the reduction of a pool
+that holds it, by default the subset itself. The same subset fitted from two
+pools agrees to round-off, not bit for bit. The QR takes the stack
+``QR_COLUMNS`` columns at a time, so it makes no copy of the whole stack.
+
+Open-loop rollout of every realization is one call: a prefix scan in the
+Schur basis of ``Ad`` over all realizations side by side, about
+``2 log2 K`` small batched matrix products and no step loop. A model's real
+Schur factorization is computed by its first rollout and reused by the rest.
 
 ``scipy.linalg`` is imported by the code that needs it (the Schur
 factorization and ``c2d_zoh``), so commands that neither roll out nor
@@ -22,6 +34,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -139,13 +152,87 @@ def fit_output_map(X: np.ndarray, Y: np.ndarray, policy: TruncationPolicy | None
     return Y @ (W / sv) @ U.T
 
 
+# Columns of a stack factored per QR call. One call on the whole stack makes
+# two L-column copies of it (the stacked blocks and LAPACK's working copy):
+# with L = 7197 it raised the peak RSS of a 2-worker select of 8 coupled-block
+# channels from 64.2-64.3 MB to 65.0-65.3 MB.
+QR_COLUMNS = 1024
+
+
+def triangular_factor(blocks: Sequence[np.ndarray], k: int) -> np.ndarray:
+    """The first ``k`` rows of ``R`` in the Householder QR ``M^T = Q R`` of the
+    row blocks ``M = [blocks]``, each with ``L`` columns; ``Q`` is not formed.
+
+    ``QR_COLUMNS`` columns of ``M`` at a time are factored together with the
+    ``R`` so far, so the QR makes no ``L``-column copy of ``M``. A zero column
+    of ``M`` stays exactly zero in ``R``.
+    """
+    L = blocks[0].shape[1]
+    R = np.zeros((0, sum(len(b) for b in blocks)))
+    for a in range(0, L, QR_COLUMNS):
+        chunk = np.vstack([b[:, a : a + QR_COLUMNS] for b in blocks]).T
+        R = np.linalg.qr(np.vstack([R, chunk]), mode="r")
+    return R[:k]
+
+
+def channel_rows(channels: Sequence[int], state_idx: Sequence[int]) -> list[int]:
+    """Position of each of the channels ``state_idx`` in ``channels``."""
+    row = {c: r for r, c in enumerate(channels)}
+    missing = [i for i in state_idx if i not in row]
+    if missing:
+        raise DatasetError(f"channel(s) {missing} are not in the pool {list(channels)}")
+    return [row[i] for i in state_idx]
+
+
+@dataclass(frozen=True)
+class PoolReduction:
+    """The triangular factor every subset of a pool of channels is fitted from.
+
+    For the pool's ``c`` states, ``m`` inputs and ``p`` outputs over ``L``
+    snapshot pairs, the Householder QR of the ``L x (2c + m + p)`` matrix
+    ``[X; V; Xp; Y]^T`` has, on its first ``k = min(L, c + m)`` rows, ``R11``
+    with ``[X; V]^T = Q1 R11`` and ``R12 = Q1^T [Xp; Y]^T``. Any subset ``S``
+    of the pool has ``[X_S; V]^T = Q1 R11[:, S + inputs]``, so the
+    ``k``-column snapshot set ``R11[:, S]^T``, ``R12[:, S]^T``,
+    ``R11[:, inputs]^T``, ``R12[:, outputs]^T`` has the singular values and
+    least-squares solutions of the ``L``-column one: the same truncation
+    rank, the same ``DegenerateSnapshots`` cases, and matrices equal to
+    round-off.
+    """
+
+    channels: tuple[int, ...]
+    n_inputs: int
+    R: np.ndarray
+
+    @classmethod
+    def of(cls, ds: TimeSeriesDataset, pool: Sequence[int]) -> "PoolReduction":
+        s = assemble_snapshots(ds, pool)
+        R = triangular_factor([s.X, s.V, s.Xp, s.Y], len(s.X) + len(s.V))
+        return cls(tuple(pool), len(s.V), R)
+
+    def snapshots(self, state_idx: Sequence[int]) -> SnapshotSet:
+        """The ``k``-column snapshot set of the pool channels ``state_idx``."""
+        c, m, R = len(self.channels), self.n_inputs, self.R
+        rows = channel_rows(self.channels, state_idx)
+        return SnapshotSet(
+            X=R[:, rows].T,
+            Xp=R[:, [c + m + r for r in rows]].T,
+            V=R[:, c : c + m].T,
+            Y=R[:, 2 * c + m :].T,
+        )
+
+
 def fit_model(
     ds: TimeSeriesDataset,
-    state_idx: list[int] | tuple[int, ...],
+    state_idx: Sequence[int],
     policy: TruncationPolicy | None = None,
+    reduction: PoolReduction | None = None,
 ) -> StateSpaceModel:
-    """Assemble snapshots for the chosen states and fit the full model."""
-    snaps = assemble_snapshots(ds, state_idx)
+    """Fit the full model of the chosen states from the reduction of a pool
+    that holds them; by default the pool is ``state_idx`` itself."""
+    state_idx = list(state_idx)
+    reduction = reduction or PoolReduction.of(ds, state_idx)
+    snaps = reduction.snapshots(state_idx)
     Ad, Bd = fit_dynamics(snaps, policy)
     Cd = fit_output_map(snaps.X, snaps.Y, policy)
     names = ds.names
@@ -160,37 +247,54 @@ def fit_model(
     )
 
 
-def rollout(model: StateSpaceModel, x0: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Open-loop prediction over ``K = V.shape[1]`` steps.
+def rollout(
+    model: StateSpaceModel, x0: np.ndarray, V: np.ndarray, starts: Sequence[int] = (0,)
+) -> tuple[np.ndarray, np.ndarray]:
+    """Open-loop prediction over ``K = V.shape[1]`` steps, in segments.
 
-    The recursion starts from ``x(0) = x0`` and uses the input column ``k``
-    to advance from step ``k`` to ``k + 1``. Returned trajectories cover
-    steps ``1..K``; the initial condition itself is not included.
+    Segment ``r`` runs from column ``starts[r]`` to the next start (or ``K``);
+    its recursion starts from ``x(0) = x0[:, r]`` (``x0`` may be a vector for
+    one segment) and uses the input column ``k`` to advance from step ``k``
+    to ``k + 1``. Returned trajectories cover steps ``1..l`` of each segment;
+    the initial conditions are not included. Rolling several realizations out
+    in one call gives each the columns it would get on its own.
 
-    With ``Ad = Q T Q'`` (real Schur), column ``k`` of ``Z`` starts as
-    ``Q' Bd v(k)`` (plus ``T Q' x0`` at ``k = 0``); for ``s = 1, 2, 4, ... < K``
-    it adds ``T^s`` times column ``k - s``, and ``Xh = Q Z``. The factors
-    are the model's, so rolling one model out over several realizations
-    factors ``Ad`` once. Squaring the
+    With ``Ad = Q T Q'`` (real Schur), the segments are laid side by side in
+    a ``segments x n x longest`` array ``Z``, zero past each segment's end;
+    column ``k`` of a segment starts as ``Q' Bd v(k)`` (plus ``T Q' x0`` at
+    ``k = 0``); for ``s = 1, 2, 4, ...`` below the longest segment every
+    segment adds ``T^s`` times its column ``k - s``, in one batched product,
+    and ``Xh = Q Z``. Padding only ever feeds later padding. The factors are
+    the model's, so ``Ad`` is factored once per model. Squaring the
     triangular ``T``, not ``Ad``, keeps a non-normal ``Ad`` accurate. Once
-    ``T^s`` overflows the model has diverged: every state is NaN or inf from
-    column ``s`` on, even if a mode no input reaches keeps the loop finite.
+    ``T^s`` overflows the model has diverged: every state of a segment is NaN
+    or inf from its column ``s`` on, even if a mode no input reaches keeps the
+    loop finite; a segment of ``s`` steps or fewer is not touched.
     """
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
+    x0 = np.asarray(x0, dtype=float)
+    x0 = x0[:, None] if x0.ndim == 1 else x0
     V = np.asarray(V, dtype=float)
-    if x0.shape[0] != model.n_states:
-        raise ValueError(f"x0 has length {x0.shape[0]}, model has {model.n_states} states")
+    if x0.ndim != 2 or x0.shape[0] != model.n_states:
+        raise ValueError(f"x0 has {x0.shape[0]} rows, model has {model.n_states} states")
     if V.ndim != 2 or V.shape[0] != model.Bd.shape[1]:
         raise ValueError(f"V must be {model.Bd.shape[1]} x K, got {V.shape}")
+    K = V.shape[1]
+    bounds = [int(a) for a in starts] + [K]
+    spans = list(zip(bounds, bounds[1:]))
+    if x0.shape[1] != len(spans) or K and (bounds[0] != 0 or any(a >= b for a, b in spans)):
+        raise ValueError(f"starts {bounds[:-1]} must rise from 0 below {K}, one per x0 column")
     T, Q = model._schur
-    Z = (Q.T @ model.Bd) @ V
-    Z[:, :1] += T @ (Q.T @ x0)[:, None]
+    BV = (Q.T @ model.Bd) @ V
+    Z = np.zeros((len(spans), model.n_states, max(b - a for a, b in spans)))
+    for r, (a, b) in enumerate(spans):
+        Z[r, :, : b - a] = BV[:, a:b]
+    Z[:, :, :1] += (T @ (Q.T @ x0)).T[:, :, None]  # empty when K = 0
     P, s = T, 1
     with np.errstate(over="ignore", invalid="ignore"):
-        while s < Z.shape[1]:
-            Z[:, s:] += P @ Z[:, :-s]
+        while s < Z.shape[2]:
+            Z[:, :, s:] += P @ Z[:, :, :-s]
             P, s = P @ P, 2 * s
-        Xh = Q @ Z
+        Xh = Q @ np.concatenate([Z[r, :, : b - a] for r, (a, b) in enumerate(spans)], axis=1)
         Yh = model.Cd @ Xh
     return Xh, Yh
 

@@ -120,9 +120,12 @@ def _rank(population: np.ndarray, fitness: np.ndarray) -> np.ndarray:
 
 
 def _fitness(population: np.ndarray, pool: np.ndarray, evaluator: SubsetEvaluator) -> np.ndarray:
-    """Cost of each row, with one ``evaluate`` call per distinct mask."""
+    """Cost of each row, with one ``evaluate`` call per distinct mask; a
+    subset not in the cache is fitted from the pool's reduction, if the pool
+    has one."""
     masks, inverse = np.unique(population, axis=0, return_inverse=True)
-    js = np.array([evaluator.evaluate(tuple(pool[m].tolist())) for m in masks])
+    whole = tuple(pool.tolist())
+    js = np.array([evaluator.evaluate(tuple(pool[m].tolist()), whole) for m in masks])
     return js[inverse.reshape(-1)]  # numpy 2.0.0 returns the inverse as a column
 
 
@@ -187,16 +190,22 @@ def ga_select(
     """Best-of-restarts GA search over the kept candidate pool.
 
     Restarts are independent and may run in parallel. Each generation of a
-    restart queries ``evaluator`` once per distinct mask in its population.
+    restart queries ``evaluator`` once per distinct mask in its population; a
+    mask missing from the cache is fitted from the reduction of ``pool``, or
+    from its own snapshots if ``pool`` is too wide to be reduced.
     Serial restarts share ``evaluator``'s cache; each restart run in a worker
-    starts from a copy of it and keeps its own fits. Either way changes speed
-    but never results.
+    starts from the evaluator as it stood when the workers started, the
+    pool's reduction included, and its fits join ``evaluator``'s cache in
+    restart order once the restarts are done. Either way changes speed but
+    never results, of this search or of any later one on ``evaluator``.
     """
     pool = tuple(sorted(set(pool)))
     if not pool:
         raise DatasetError("candidate pool is empty")
-    fn = partial(_run_restart, pool=pool, cfg=cfg, evaluator=evaluator)
-    runs = run_restarts(fn, cfg.restarts, workers)
+    if workers > 1:
+        evaluator.searched_pool(pool)  # built here, so that restarts in workers inherit it
+    fn = partial(_run_restart, pool=pool, cfg=cfg)
+    runs = run_restarts(fn, cfg.restarts, workers, evaluator=evaluator)
     best, trace = min(runs, key=lambda run: run[0])
     restart_js = [key[0] for key, _ in runs]
     diagnostics = {

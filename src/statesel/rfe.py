@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .datamodel import TimeSeriesDataset
-from .dmdc import fit_output_map
+from .dmdc import TruncationPolicy, fit_output_map, triangular_factor
 from .errors import DatasetError, DegenerateSnapshots, MergedPoolTooLarge
 from .prefilter import _unit_rows
 from .selection import (
@@ -104,18 +104,29 @@ def importance(Cd: np.ndarray) -> ImportanceMatrix:
     return ImportanceMatrix(I=I, mean=I.mean(axis=0))
 
 
+def _output_factor(
+    train: TimeSeriesDataset, pool: list[int], outputs: list[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(R11, R12)`` from the thin Householder QR of ``[X_pool; Y]^T``
+    (``Q`` not formed), on its first ``k = min(L, len(pool))`` rows: any
+    survivors ``S`` of the pool have ``X_S^T = Q1 R11[:, S]`` and
+    ``Q1^T Y^T = R12``, so their output map is fitted from ``k`` columns, not
+    ``L``, with the singular values of the ``L``-column fit."""
+    A = np.hstack([r[pool + outputs, :-1] for r in train.realizations])
+    R = triangular_factor([A], len(pool))
+    return R[:, : len(pool)], R[:, len(pool) :]
+
+
 def _mean_importance(
-    evaluator: SubsetEvaluator,
-    survivors: list[int],
-    outputs: list[int],
+    factor: tuple[np.ndarray, np.ndarray], rows: list[int], policy: TruncationPolicy
 ) -> np.ndarray:
-    reals = evaluator.train.realizations
-    X = np.hstack([r[survivors, :-1] for r in reals])
-    Y = np.hstack([r[outputs, :-1] for r in reals])
+    """Mean importance of the output map fitted on the pool ``rows`` of an
+    ``_output_factor``."""
     # Only Cd is ranked, so the dynamics are not fitted. Their SVD would fail
     # only on an all-zero [X; V], whose X is all zero too, and fit_output_map
     # raises the same DegenerateSnapshots on that.
-    return importance(fit_output_map(X, Y, evaluator.policy)).mean
+    R11, R12 = factor
+    return importance(fit_output_map(R11[:, rows].T, R12.T, policy)).mean
 
 
 @dataclass(frozen=True)
@@ -139,7 +150,9 @@ def rfe_rank(
     mean importance, and drop the lowest-scoring block (ties drop the higher
     channel index first). Survivor sets across iterations are strictly
     nested. If a fit degenerates, that iteration falls back to eliminating
-    the lowest-variance survivors instead.
+    the lowest-variance survivors instead. Every fit is made from one QR of
+    the pool's snapshots (``_output_factor``), taken before the first
+    iteration.
 
     ``output_idx`` restricts scoring to a subset of output channels (manifest
     indices); the default uses all outputs. The fits use the evaluator's
@@ -153,10 +166,13 @@ def rfe_rank(
         raise DatasetError(f"output_idx {outputs} names a channel that is not an output")
     eliminated: list[int] = []
     iterations = 0
+    row = {c: r for r, c in enumerate(survivors)}
+    if len(survivors) > cfg.max_states:
+        factor = _output_factor(evaluator.train, survivors, outputs)
     while len(survivors) > cfg.max_states:
         iterations += 1
         try:
-            score = _mean_importance(evaluator, survivors, outputs)
+            score = _mean_importance(factor, [row[i] for i in survivors], evaluator.policy)
         except DegenerateSnapshots:
             score = evaluator.std[survivors]
         k = max(1, math.floor(cfg.block_fraction * len(survivors)))
@@ -290,7 +306,7 @@ def merged_search(
             f"{cfg.search_limit}. Lower max_states or cross_top_k to shrink the pool."
         )
     subsets = enumerate_subsets(pool, cfg.max_states)
-    scores = evaluate_subsets(subsets, evaluator, workers=workers)
+    scores = evaluate_subsets(subsets, evaluator, workers=workers, pool=pool)
     best = min(subset_key(j, s) for j, s in zip(scores, subsets))
     diag = dict(diagnostics or {})
     diag["subsets_examined"] = len(subsets)

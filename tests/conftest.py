@@ -21,8 +21,9 @@ from statesel.datamodel import (
     assemble_snapshots,
     split,
 )
-from statesel.dmdc import c2d_zoh, fit_dynamics, fit_output_map
-from statesel.errors import DatasetError, DuplicateChannel
+from statesel.cost import cost
+from statesel.dmdc import TruncationPolicy, c2d_zoh, fit_dynamics, fit_output_map
+from statesel.errors import DatasetError, DegenerateSnapshots, DuplicateChannel
 from statesel.prefilter import prefilter
 from statesel.rfe import importance
 
@@ -213,12 +214,69 @@ def read_csv_oracle(path, manifest):
     return np.array(rows, dtype=float).T
 
 
-def mean_importance_two_fit(evaluator, survivors, y_rows):
+def mean_importance_two_fit(evaluator, survivors, factor, rows):
     """RFE elimination score with a dynamics fit run only for its
-    ``DegenerateSnapshots``: the reference for ``rfe._mean_importance``.
-    ``y_rows`` picks rows of the output block, ``None`` for all of them."""
-    snaps = assemble_snapshots(evaluator.train, survivors)
-    Y = snaps.Y if y_rows is None else snaps.Y[y_rows]
-    fit_dynamics(snaps, evaluator.policy)
-    Cd = fit_output_map(snaps.X, Y, evaluator.policy)
+    ``DegenerateSnapshots``: the reference for ``rfe._mean_importance``. The
+    dynamics are fitted from the survivors' own ``L``-column snapshots; the
+    output map from ``rows`` of ``factor``, an ``rfe._output_factor``."""
+    fit_dynamics(assemble_snapshots(evaluator.train, survivors), evaluator.policy)
+    R11, R12 = factor
+    Cd = fit_output_map(R11[:, rows].T, R12.T, evaluator.policy)
     return importance(Cd).mean
+
+
+# A fit from a reduction is within FIT_TOL * eps * kappa (relative,
+# Frobenius) of the direct fit, kappa = sigma_1 / sigma_q of the direct fit's
+# stack. Both solve the same least-squares problem with a backward stable
+# method, so they differ by the problem's own sensitivity, about
+# eps * kappa when the regression is exact or nearly so; the largest ratio
+# seen over 3 000 random cases was about 800. A Gram-matrix fit loses
+# eps * kappa^2 instead: all of its digits at kappa = 1e8.
+FIT_TOL = 1e4
+
+
+def svd_solve(M, B, max_condition):
+    """``B M^+`` through the SVD of ``M`` cut where ``sigma_1 / sigma_q``
+    reaches ``max_condition``: ``(solution, q)``."""
+    if M.size == 0 or not np.any(M):
+        raise DegenerateSnapshots("matrix is identically zero")
+    U, s, Wt = np.linalg.svd(M, full_matrices=False)
+    q = int(np.sum((s > 0) & (s[0] < max_condition * s)))
+    if q == 0:
+        raise DegenerateSnapshots("no singular values survive the condition cap")
+    return B @ (Wt[:q].T / s[:q]) @ U[:, :q].T, q
+
+
+def direct_fit(ds, state_idx, policy=None):
+    """The fit from the ``L``-column snapshots of ``state_idx``, each map by
+    its own truncated SVD: the oracle for the fit from a pool's reduction.
+    Returns ``{"dynamics": (Ad, Bd, q), "output": (Cd, q)}``, with the string
+    ``"degenerate"`` for a map whose SVD raises ``DegenerateSnapshots``."""
+    cap = (policy or TruncationPolicy()).max_condition
+    s = assemble_snapshots(ds, state_idx)
+    n = len(state_idx)
+    out = {}
+    try:
+        AB, q = svd_solve(np.vstack([s.X, s.V]), s.Xp, cap)
+        out["dynamics"] = (AB[:, :n], AB[:, n:], q)
+    except DegenerateSnapshots:
+        out["dynamics"] = "degenerate"
+    try:
+        out["output"] = svd_solve(s.X, s.Y, cap)
+    except DegenerateSnapshots:
+        out["output"] = "degenerate"
+    return out
+
+
+def per_realization_cost(model, ds, state_idx, scales):
+    """The cost from the per-step loop ``simulate_discrete``, run once per
+    realization with its true initial state and recorded inputs, the
+    trajectories concatenated: the oracle for ``rollout_cost``'s one rollout
+    of every realization."""
+    state_idx = list(state_idx)
+    parts = []
+    for arr in ds.realizations:
+        V = arr[list(ds.input_indices), :-1]
+        X = simulate_discrete(model.Ad, model.Bd, V, arr[state_idx, 0])[:, 1:]
+        parts.append((X, model.Cd @ X, arr[state_idx, 1:], arr[list(ds.output_indices), 1:]))
+    return cost(*(np.hstack([p[k] for p in parts]) for k in range(4)), scales)

@@ -159,6 +159,35 @@ class TestSelect:
             if name != "config.json":  # echoes the output directory and worker count
                 assert (out2 / name).read_bytes() == (out4 / name).read_bytes(), name
 
+    def test_serial_and_parallel_cap_sweeps_write_the_same_files(self, tmp_path):
+        """A cap's searches read the costs that earlier caps left in the
+        cache, GA restarts run in workers included; on RLC's exact fits the
+        GA's best costs at cap 7 are round-off that depends on which pool
+        scored them first."""
+        data = tmp_path / "data"
+        write_small_rlc(data)
+        outs = []
+        for w in (1, 2):
+            out = tmp_path / f"w{w}"
+            cfg = {
+                "data": str(data),
+                "manifest": str(data / "manifest.json"),
+                "out": str(out),
+                "seed": 1,
+                "ga": {"population_size": 16, "restarts": 2, "stall_generations": 8, "max_generations": 40},
+            }
+            path = tmp_path / f"run_w{w}.json"
+            path.write_text(json.dumps(cfg))
+            args = ["--method", "both", "--cap", "3,5,7", "--workers", str(w)]
+            assert main(["select", "--config", str(path), *args]) == 0
+            outs.append(out)
+        names = sorted(p.name for p in outs[0].iterdir())
+        assert names == sorted(p.name for p in outs[1].iterdir())
+        assert "ga_trace_cap7.csv" in names
+        for name in names:
+            if name != "config.json":  # echoes the output directory and worker count
+                assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
     def test_env_var_sets_workers(self, synth_run, monkeypatch):
         root, cfg_path, _ = synth_run
         cfg = json.loads(cfg_path.read_text())
@@ -209,6 +238,50 @@ class TestSelect:
         p.write_text(json.dumps(cfg))
         assert main(["select", "--config", str(p)]) == 1
         assert "sweep" in capsys.readouterr().err
+
+
+class TestWorkerCount:
+    """A worker count below 1, or a variable that is not an integer, is
+    refused before the run writes anything or starts a process."""
+
+    @pytest.fixture
+    def config(self, tmp_path, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool started")
+
+        monkeypatch.setattr("statesel.selection.ProcessPoolExecutor", no_pool)
+        monkeypatch.delenv("STATESEL_WORKERS", raising=False)
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"data": str(tmp_path / "none"), "manifest": "m.json", "out": str(tmp_path / "out")}))
+        return path
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_flag_below_one(self, config, capsys, value):
+        assert main(["select", "--config", str(config), "--workers", value]) == 1
+        assert "--workers must be a positive integer" in capsys.readouterr().err
+        assert not (config.parent / "out").exists()
+
+    def test_flag_not_an_integer(self, config, capsys):
+        with pytest.raises(SystemExit):
+            main(["select", "--config", str(config), "--workers", "two"])
+        assert "--workers" in capsys.readouterr().err
+        assert not (config.parent / "out").exists()
+
+    @pytest.mark.parametrize("value", ["0", "-1", "two"])
+    def test_environment_variable(self, config, capsys, monkeypatch, value):
+        monkeypatch.setenv("STATESEL_WORKERS", value)
+        assert main(["select", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert "STATESEL_WORKERS must be a positive integer" in err and value in err
+        assert not (config.parent / "out").exists()
+
+    def test_config_field(self, config, capsys):
+        assert main(["select", "--config", str(config), "--workers", "2"]) == 1  # no data: fails later
+        assert "workers" not in capsys.readouterr().err
+        doc = json.loads(config.read_text())
+        config.write_text(json.dumps({**doc, "workers": 0}))
+        assert main(["select", "--config", str(config)]) == 1
+        assert "config field 'workers' must be a positive integer" in capsys.readouterr().err
 
 
 class TestPredict:

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from statesel.cost import (
     ChannelScales,
+    RolloutTruth,
     cost,
     pooled_std,
     rollout_cost,
@@ -13,6 +14,8 @@ from statesel.datamodel import ChannelMeta, TimeSeriesDataset
 from statesel.dmdc import fit_model
 from statesel.errors import DatasetError
 from statesel.selection import SubsetEvaluator
+
+from conftest import per_realization_cost, random_stable_discrete, simulate_discrete
 
 
 def dataset_from_rows(rows_per_real, dt=0.1):
@@ -164,6 +167,46 @@ def test_rollout_cost_exact_data_near_zero(rlc_split, rlc_dataset):
     scales = SubsetEvaluator(train).scales_for(idx)
     assert rollout_cost(model, train, idx, scales).J < 1e-12
     assert rollout_cost(model, test, idx, scales).J < 1e-12
+
+
+class TestRolloutCostOracle:
+    """``rollout_cost``'s one rollout of every realization against the per-step
+    loop run once per realization (conftest ``per_realization_cost``)."""
+
+    @staticmethod
+    def dataset(rng):
+        """Candidates linear in a 3-state system, realizations of 399, 350 and
+        420 steps."""
+        Ad, Bd, Cd = random_stable_discrete(rng, 3, 1, 2)
+        manifest = (ChannelMeta("u", "input"), ChannelMeta("y0", "output"), ChannelMeta("y1", "output"))
+        manifest += tuple(ChannelMeta(f"c{j}", "candidate") for j in range(4))
+        M = rng.standard_normal((4, 3))
+        reals = []
+        for l in (399, 350, 420):
+            V = rng.standard_normal((1, l))
+            X = simulate_discrete(Ad, Bd, V[:, :-1], rng.standard_normal(3))
+            reals.append(np.vstack([V, Cd @ X, M @ X + 0.01 * rng.standard_normal((4, l))]))
+        return TimeSeriesDataset(0.1, tuple(reals), manifest)
+
+    def test_matches_per_realization_oracle(self):
+        ds = self.dataset(np.random.default_rng(21))
+        ev = SubsetEvaluator(ds)
+        for subset in ([3], [3, 5], [3, 4, 6], [3, 4, 5, 6]):
+            model = fit_model(ds, subset)
+            got = rollout_cost(model, ds, subset, ev.scales_for(subset))
+            want = per_realization_cost(model, ds, subset, ev.scales_for(subset))
+            assert (got.n, got.p, got.L) == (want.n, want.p, want.L) == (len(subset), 2, 399 + 350 + 420 - 3)
+            for field in ("J", "J_state", "J_output"):
+                assert getattr(got, field) == pytest.approx(getattr(want, field), rel=1e-9)
+
+    def test_pool_rows_score_as_the_dataset(self):
+        ds = self.dataset(np.random.default_rng(22))
+        pool = RolloutTruth.of(ds, [3, 4, 5, 6])
+        scales = SubsetEvaluator(ds).scales_for([4, 6])
+        model = fit_model(ds, [4, 6])
+        assert rollout_cost(model, pool, [4, 6], scales) == rollout_cost(model, ds, [4, 6], scales)
+        with pytest.raises(DatasetError):
+            rollout_cost(model, RolloutTruth.of(ds, [3, 4, 5]), [4, 6], scales)
 
 
 def test_scales_validated():

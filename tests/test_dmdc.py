@@ -4,12 +4,14 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from statesel import dmdc
 from statesel.benchgen import RlcParams
-from statesel.datamodel import SnapshotSet, assemble_snapshots
+from statesel.datamodel import ChannelMeta, SnapshotSet, TimeSeriesDataset, assemble_snapshots
 from statesel.dmdc import (
+    PoolReduction,
     StateSpaceModel,
     TruncationPolicy,
     c2d_zoh,
@@ -23,7 +25,7 @@ from statesel.dmdc import (
 )
 from statesel.errors import DegenerateSnapshots
 
-from conftest import random_stable_discrete, simulate_discrete
+from conftest import FIT_TOL, direct_fit, random_stable_discrete, simulate_discrete
 
 
 def make_model(Ad, Bd, Cd, dt=0.1):
@@ -221,6 +223,48 @@ class TestRollout:
             rollout(model, np.ones(2), np.zeros((2, 4)))
 
 
+class TestSegmentedRollout:
+    """Several realizations rolled out in one call, each against the per-step
+    loop run on its own."""
+
+    LENGTHS = (399, 350, 420)
+
+    def segments(self, rng, n, m):
+        x0 = rng.standard_normal((n, len(self.LENGTHS)))
+        Vs = [rng.standard_normal((m, l)) for l in self.LENGTHS]
+        starts = np.cumsum((0,) + self.LENGTHS[:-1])
+        return x0, Vs, starts
+
+    @pytest.mark.parametrize("kind", ["stable", "rotation", "jordan"])
+    def test_unequal_lengths_match_loop(self, kind):
+        rng = np.random.default_rng(8)
+        Ad, Bd, Cd = draw_ad(kind, 4, rng), rng.standard_normal((4, 2)), rng.standard_normal((3, 4))
+        x0, Vs, starts = self.segments(rng, 4, 2)
+        Xh, Yh = rollout(make_model(Ad, Bd, Cd), x0, np.hstack(Vs), starts)
+        assert Xh.shape == (4, sum(self.LENGTHS)) and Yh.shape == (3, sum(self.LENGTHS))
+        for r, (a, V) in enumerate(zip(starts, Vs)):
+            X = simulate_discrete(Ad, Bd, V, x0[:, r])[:, 1:]
+            tol = SCAN_TOL * transient_growth(Ad, V.shape[1]) * max(1.0, np.max(np.abs(X)))
+            assert np.max(np.abs(Xh[:, a : a + V.shape[1]] - X)) <= tol
+            assert np.max(np.abs(Yh[:, a : a + V.shape[1]] - Cd @ X)) <= tol * np.abs(Cd).sum(axis=1).max()
+
+    def test_overflow_stays_in_its_realization(self):
+        # 5.7^420 overflows, 5.7^350 and 5.7^399 do not
+        model = make_model(np.array([[5.7]]), np.array([[1.0]]), np.array([[1.0]]))
+        x0, Vs, starts = self.segments(np.random.default_rng(9), 1, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            Xh, _ = rollout(model, x0, np.hstack(Vs), starts)
+        assert np.all(np.isfinite(Xh[:, : starts[2]]))
+        assert not np.all(np.isfinite(Xh[:, starts[2] :]))
+
+    def test_starts_validated(self):
+        model = make_model(np.eye(2), np.zeros((2, 1)), np.eye(2))
+        for starts in ((1, 3), (0, 3, 3), (0, 6), (0,)):
+            with pytest.raises(ValueError):
+                rollout(model, np.ones((2, 2)), np.zeros((1, 6)), starts)
+
+
 # rollout scan vs the plain loop: horizons around every power of two
 SCAN_HORIZONS = sorted({0, 1, 2, 3, 3000} | {2**j + d for j in range(2, 12) for d in (-1, 0, 1)})
 # relative to max(1, max|x|) times the transient growth max ||Ad^s||, which
@@ -327,6 +371,133 @@ class TestRolloutScan:
             Xh, Yh = rollout(model, x0, V)
         assert np.max(np.abs(Xh[:, :32] - loop[:, :32])) < 1e-15
         assert np.all(np.isnan(Xh[:, 32:])) and np.all(np.isnan(Yh[:, 32:]))
+
+
+def reduced_fit(ds, pool, subset, policy):
+    """``direct_fit``'s result, computed from the reduction of ``pool``."""
+    s = PoolReduction.of(ds, pool).snapshots(subset)
+    out = {}
+    try:
+        q = truncated_svd(np.vstack([s.X, s.V]), policy)[3]
+        out["dynamics"] = (*fit_dynamics(s, policy), q)
+    except DegenerateSnapshots:
+        out["dynamics"] = "degenerate"
+    try:
+        out["output"] = (fit_output_map(s.X, s.Y, policy), truncated_svd(s.X, policy)[3])
+    except DegenerateSnapshots:
+        out["output"] = "degenerate"
+    return out
+
+
+class TestReducedFit:
+    """The fit from a pool's reduction against ``direct_fit``, the fit from
+    the ``L``-column snapshots in conftest: the same ``DegenerateSnapshots``
+    cases, the same truncation rank ``q`` and matrices within ``FIT_TOL``."""
+
+    @staticmethod
+    def dataset(rng, kind, log_cond):
+        """An exact 3-state LTI system with 1 input and 2 outputs, seen
+        through candidates that are linear in its states:
+
+        * ``rank``: 4 to 6 random mixtures, the last twice the first;
+        * ``zero``: 1 to 4 random mixtures, the first identically zero;
+        * ``ill``: 3 mixtures of condition ``10**log_cond``, plus 2 noise
+          channels in the pool only;
+        * ``wide``: 4 to 8 noise channels over one realization of 3 to 5
+          steps, so the pool is wider than the ``L`` snapshot pairs.
+        """
+        n, m, p = 3, 1, 2
+        Ad, Bd, Cd = random_stable_discrete(rng, n, m, p)
+        if kind == "ill":
+            U, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            W, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            M = U @ np.diag(np.logspace(0, -log_cond, n)) @ W.T
+        elif kind != "wide":
+            M = rng.standard_normal((int(rng.integers(4, 7)) if kind == "rank" else int(rng.integers(1, 5)), n))
+            M[-1 if kind == "rank" else 0] = 2.0 * M[0] if kind == "rank" else 0.0
+        c_noise = {"ill": 2, "wide": int(rng.integers(4, 9))}.get(kind, 0)
+        lengths = [int(rng.integers(3, 6))] if kind == "wide" else rng.integers(20, 60, rng.integers(1, 4))
+        reals = []
+        for l in lengths:
+            V = rng.standard_normal((m, int(l)))
+            X = simulate_discrete(Ad, Bd, V[:, :-1], rng.standard_normal(n))
+            rows = [V, Cd @ X] + ([] if kind == "wide" else [M @ X])
+            reals.append(np.vstack(rows + [rng.standard_normal((c_noise, int(l)))]))
+        c = reals[0].shape[0] - m - p
+        manifest = [ChannelMeta("u", "input")] + [ChannelMeta(f"y{j}", "output") for j in range(p)]
+        manifest += [ChannelMeta(f"c{j}", "candidate") for j in range(c)]
+        return TimeSeriesDataset(0.1, tuple(reals), tuple(manifest))
+
+    def check(self, ds, pool, subset, policy):
+        want, got = direct_fit(ds, subset, policy), reduced_fit(ds, pool, subset, policy)
+        snaps = assemble_snapshots(ds, subset)
+        stacks = {"dynamics": np.vstack([snaps.X, snaps.V]), "output": snaps.X}
+        for part in ("dynamics", "output"):
+            w, g = want[part], got[part]
+            if isinstance(w, str) or isinstance(g, str):
+                assert w == g, part
+                continue
+            assert g[-1] == w[-1], part  # truncation rank
+            sv = np.linalg.svd(stacks[part], compute_uv=False)
+            tol = FIT_TOL * np.finfo(float).eps * sv[0] / sv[w[-1] - 1]
+            for a, b in zip(w[:-1], g[:-1]):
+                assert np.linalg.norm(a - b) <= tol * np.linalg.norm(a), part
+        return want
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kind=st.sampled_from(["rank", "zero", "ill", "wide"]),
+        log_cond=st.floats(min_value=4.5, max_value=8.0),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        qr_columns=st.sampled_from([1, 5, 16, dmdc.QR_COLUMNS]),
+        data=st.data(),
+    )
+    def test_matches_direct_fit(self, kind, log_cond, seed, qr_columns, data):
+        ds = self.dataset(np.random.default_rng(seed), kind, log_cond)
+        pool = list(ds.candidate_indices)
+        if kind == "ill":
+            subset = pool[:3]
+            sv = np.linalg.svd(assemble_snapshots(ds, subset).X, compute_uv=False)
+            assume(1e4 <= sv[0] / sv[-1] <= 1e9)  # the states' own spread moves it a little
+        else:
+            subset = sorted(data.draw(st.sets(st.sampled_from(pool), min_size=1)))
+        if kind == "wide":
+            assert assemble_snapshots(ds, pool).L < len(pool) + 1
+        # a cap that truncates nothing on the ill-conditioned stacks, the
+        # default elsewhere
+        policy = TruncationPolicy(1e12 if kind == "ill" else 1e9)
+        default, dmdc.QR_COLUMNS = dmdc.QR_COLUMNS, qr_columns  # the QR in blocks of any width
+        try:
+            self.check(ds, pool, subset, policy)
+        finally:
+            dmdc.QR_COLUMNS = default
+
+    def test_zero_channel_stays_exactly_zero(self):
+        ds = self.dataset(np.random.default_rng(4), "zero", 0.0)
+        pool = list(ds.candidate_indices)
+        R = PoolReduction.of(ds, pool).R
+        assert not np.any(R[:, 0]) and not np.any(R[:, len(pool) + 1])  # its X and Xp columns
+        want = self.check(ds, pool, pool[:1], TruncationPolicy())
+        assert want["output"] == "degenerate" and want["dynamics"] != "degenerate"
+
+    def test_all_zero_stack_is_degenerate(self):
+        manifest = (ChannelMeta("u", "input"), ChannelMeta("y", "output"), ChannelMeta("a", "candidate"),
+                    ChannelMeta("b", "candidate"))
+        rows = np.vstack([np.zeros(30), np.ones(30), np.zeros(30), np.arange(30.0)])
+        ds = TimeSeriesDataset(0.1, (rows,), manifest)
+        want = self.check(ds, [2, 3], [2], TruncationPolicy())
+        assert want == {"dynamics": "degenerate", "output": "degenerate"}
+
+    def test_fit_model_fits_from_the_reduction(self, rlc_split, rlc_dataset):
+        train, _ = rlc_split
+        idx = [rlc_dataset.index_of("capacitor.v"), rlc_dataset.index_of("capacitor.p.i")]
+        pool = sorted(idx + [rlc_dataset.index_of("inductor.i")])
+        reduction = PoolReduction.of(train, pool)
+        got = reduced_fit(train, pool, idx, TruncationPolicy())
+        model = fit_model(train, idx, reduction=reduction)
+        assert np.array_equal(model.Ad, got["dynamics"][0]) and np.array_equal(model.Cd, got["output"][0])
+        alone = fit_model(train, idx)  # the reduction of the subset itself
+        assert np.allclose(alone.Ad, model.Ad, rtol=0, atol=1e-9)
 
 
 class TestC2d:

@@ -132,7 +132,7 @@ class CountingEvaluator:
         self.cost = cost
         self.calls = []
 
-    def evaluate(self, subset):
+    def evaluate(self, subset, pool=None):
         self.calls.append(tuple(subset))
         return self.cost(subset)
 
@@ -238,10 +238,14 @@ class TestGaSelect:
 
     def test_best_of_restarts_dominates_median(self, lti_split):
         ds, train, test = lti_split
-        res = ga_select(SubsetEvaluator(train), test, ds.candidate_indices, small_cfg(restarts=5))
+        ev = SubsetEvaluator(train)
+        res = ga_select(ev, test, ds.candidate_indices, small_cfg(restarts=5))
         d = res.diagnostics
         assert d["j_restart_best"] <= d["j_restart_median"]
-        assert res.j_train.J == d["j_restart_best"]
+        # the search's cost of the winner, fitted from the pool's reduction
+        assert ev.evaluate(res.indices) == d["j_restart_best"]
+        # the reported cost, of the winner's model fitted from its own snapshots
+        assert res.j_train == SubsetEvaluator(train).breakdown(res.indices)
 
     def test_worker_count_does_not_change_result(self, lti_split):
         ds, train, test = lti_split

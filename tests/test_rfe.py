@@ -5,13 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from statesel.datamodel import ChannelMeta, SplitSpec, TimeSeriesDataset, split
+from statesel.datamodel import ChannelMeta, SplitSpec, TimeSeriesDataset, assemble_snapshots, split
+from statesel.dmdc import fit_output_map, truncated_svd
 from statesel.errors import DegenerateSnapshots, MergedPoolTooLarge
 from statesel.prefilter import correlation, prefilter
 from statesel.rfe import (
     CrossImport,
     RFEConfig,
     _mean_importance,
+    _output_factor,
     count_subsets,
     cross_influence,
     enumerate_subsets,
@@ -23,7 +25,7 @@ from statesel.rfe import (
 )
 from statesel.selection import SubsetEvaluator, subset_key
 
-from conftest import mean_importance_two_fit, simulate_discrete
+from conftest import FIT_TOL, mean_importance_two_fit, simulate_discrete, svd_solve
 
 # worked two-subsystem example: a high-gain block dominating a low-gain one
 GAIN_DISPARITY_CD = np.array(
@@ -183,7 +185,8 @@ class TestRfeRank:
 
 class TestMeanImportanceOracle:
     """The one-fit elimination score against the two-fit oracle in conftest:
-    equal scores, or ``DegenerateSnapshots`` from both."""
+    equal scores, or ``DegenerateSnapshots`` from both. Both fit the output
+    map from the same ``_output_factor`` of the candidate pool."""
 
     @staticmethod
     def dataset(rng, n_cand, n_out, zero_inputs, zero_cands):
@@ -209,8 +212,11 @@ class TestMeanImportanceOracle:
     def check(self, ds, survivors, y_rows):
         ev = SubsetEvaluator(ds)
         outputs = [ds.output_indices[i] for i in y_rows] if y_rows else list(ds.output_indices)
-        got = self.outcome(lambda: _mean_importance(ev, survivors, outputs))
-        want = self.outcome(lambda: mean_importance_two_fit(ev, survivors, y_rows or None))
+        pool = list(ds.candidate_indices)
+        factor = _output_factor(ds, pool, outputs)
+        rows = [pool.index(i) for i in survivors]
+        got = self.outcome(lambda: _mean_importance(factor, rows, ev.policy))
+        want = self.outcome(lambda: mean_importance_two_fit(ev, survivors, factor, rows))
         if isinstance(want, str):
             assert got == want
         else:
@@ -232,6 +238,40 @@ class TestMeanImportanceOracle:
         survivors = sorted(data.draw(st.sets(st.sampled_from(cands), min_size=1)))
         y_rows = data.draw(st.lists(st.integers(min_value=0, max_value=n_out - 1), unique=True))
         self.check(ds, survivors, y_rows)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n_cand=st.integers(min_value=1, max_value=5),
+        n_out=st.integers(min_value=1, max_value=3),
+        zero_inputs=st.booleans(),
+        data=st.data(),
+    )
+    def test_factor_fit_matches_direct_fit(self, seed, n_cand, n_out, zero_inputs, data):
+        # the output map from the pool's factor against the one from the
+        # survivors' L-column snapshots, as the fit oracle in test_dmdc: the
+        # same DegenerateSnapshots cases, the same truncation rank q, and
+        # matrices within FIT_TOL
+        zero_cands = data.draw(st.sets(st.integers(min_value=0, max_value=n_cand - 1)))
+        ds = self.dataset(np.random.default_rng(seed), n_cand, n_out, zero_inputs, zero_cands)
+        pool = list(ds.candidate_indices)
+        survivors = sorted(data.draw(st.sets(st.sampled_from(pool), min_size=1)))
+        y_rows = data.draw(st.lists(st.integers(min_value=0, max_value=n_out - 1), unique=True))
+        y_rows = y_rows or list(range(n_out))
+        R11, R12 = _output_factor(ds, pool, [ds.output_indices[i] for i in y_rows])
+        X = R11[:, [pool.index(i) for i in survivors]].T
+        snaps = assemble_snapshots(ds, survivors)
+        policy = SubsetEvaluator(ds).policy
+        want = self.outcome(lambda: svd_solve(snaps.X, snaps.Y[y_rows], policy.max_condition))
+        got = self.outcome(lambda: (fit_output_map(X, R12.T, policy), truncated_svd(X, policy)[3]))
+        if isinstance(want, str) or isinstance(got, str):
+            assert got == want
+            return
+        (want, q), (got, got_q) = want, got
+        assert got_q == q
+        sv = np.linalg.svd(snaps.X, compute_uv=False)
+        tol = FIT_TOL * np.finfo(float).eps * sv[0] / sv[q - 1]
+        assert np.linalg.norm(got - want) <= tol * np.linalg.norm(want)
 
     @pytest.mark.parametrize("zero_inputs", [False, True], ids=["nonzero_inputs", "all_zero_stack"])
     def test_all_zero_states_degenerate(self, zero_inputs):

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 
-from statesel import selection
+from statesel import dmdc, selection
 from statesel.datamodel import ChannelMeta, TimeSeriesDataset
 from statesel.dmdc import StateSpaceModel
 from statesel.ga import GAConfig, ga_select
@@ -40,6 +40,20 @@ def test_ga_after_rfe_fits_only_its_winner(coupled_split, coupled_kept):
     assert ga.to_dict() == alone.to_dict()
 
 
+def test_parallel_restarts_leave_the_serial_cache(coupled_split, coupled_kept):
+    """GA restarts run in workers send back the costs they scored: the cache
+    a later search reads is the one serial restarts leave, entry for entry
+    and in the same order."""
+    train, test = coupled_split
+    caches = []
+    for workers in (1, 2):
+        ev = SubsetEvaluator(train)
+        ga_select(ev, test, coupled_kept, small_ga(), workers=workers)
+        caches.append(ev._cache)
+    assert len(caches[0]) > 0
+    assert list(caches[0].items()) == list(caches[1].items())
+
+
 def test_pool_breakdowns_land_in_the_callers_cache(coupled_split, coupled_kept):
     train, _ = coupled_split
     subsets = enumerate_subsets(coupled_kept[:6], 2)
@@ -52,6 +66,37 @@ def test_pool_breakdowns_land_in_the_callers_cache(coupled_split, coupled_kept):
         assert j == fresh.evaluate(s)
     assert scores == scores[: len(subsets)] + scores[: len(subsets)][::-1]
     assert ev.fit_count == 0
+
+
+def test_pool_workers_fit_from_the_parents_factor(coupled_split, coupled_kept, monkeypatch):
+    train, _ = coupled_split
+    pool = coupled_kept[:6]
+    subsets = enumerate_subsets(pool, 2)
+    serial = evaluate_subsets(subsets, SubsetEvaluator(train), pool=pool)
+    ev = SubsetEvaluator(train)
+    ev.searched_pool(pool)
+
+    def no_factor(*args, **kwargs):
+        raise AssertionError("a pool was factored again")
+
+    monkeypatch.setattr(dmdc, "triangular_factor", no_factor)
+    assert evaluate_subsets(subsets, ev, workers=2, pool=pool) == serial
+    assert ev.fit_count == 0
+
+
+def test_wide_pools_are_not_reduced(coupled_split, coupled_kept, monkeypatch):
+    """A pool wider than ``REDUCED_POOL_MAX`` gets no reduction: its subsets
+    are fitted from their own snapshots and score exactly as with no pool."""
+    train, _ = coupled_split
+    pool = coupled_kept[:6]
+    monkeypatch.setattr(selection, "REDUCED_POOL_MAX", len(pool) - 1)
+    ev = SubsetEvaluator(train)
+    assert ev.searched_pool(pool) is None
+    subsets = enumerate_subsets(pool, 2)
+    alone = SubsetEvaluator(train)
+    assert evaluate_subsets(subsets, ev, pool=pool) == [alone.evaluate(s) for s in subsets]
+    assert not ev._pools
+    assert ev.searched_pool(pool[:-1]) is not None
 
 
 def test_cached_subsets_start_no_pool(coupled_split, coupled_kept, monkeypatch):
@@ -88,8 +133,30 @@ def test_unexcited_unstable_mode_scores_as_diverged(monkeypatch):
         output_names=("y",),
         dt=0.1,
     )
-    monkeypatch.setattr(ev, "fit", lambda subset: model)
+    monkeypatch.setattr(ev, "fit", lambda subset, pool=None: model)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert ev.breakdown([2, 3]) is None
     assert ev.evaluate([3, 2]) == math.inf
+
+
+def test_overflow_in_one_realization_scores_as_diverged(monkeypatch):
+    # realizations of 399, 350 and 420 steps and a mode of gain 5.7: the
+    # rollout overflows in the longest only, and the squared errors of the
+    # others overflow in the cost; the subset is infeasible, without a
+    # RuntimeWarning
+    manifest = tuple(
+        ChannelMeta(name, role) for name, role in (("u", "input"), ("y", "output"), ("a", "candidate"))
+    )
+    rng = np.random.default_rng(3)
+    reals = tuple(rng.standard_normal((3, l)) for l in (399, 350, 420))
+    ev = SubsetEvaluator(TimeSeriesDataset(0.1, reals, manifest))
+    model = StateSpaceModel(
+        Ad=np.array([[5.7]]), Bd=np.array([[1.0]]), Cd=np.array([[1.0]]),
+        state_names=("a",), input_names=("u",), output_names=("y",), dt=0.1,
+    )
+    monkeypatch.setattr(ev, "fit", lambda subset, pool=None: model)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert ev.breakdown([2], pool=[2]) is None
+    assert ev.evaluate([2]) == math.inf

@@ -21,11 +21,12 @@ pools agrees to round-off, not bit for bit. The QR takes the stack
 Open-loop rollout of every realization is one call: a prefix scan in the
 Schur basis of ``Ad`` over all realizations side by side, about
 ``2 log2 K`` small batched matrix products and no step loop. A model's real
-Schur factorization is computed by its first rollout and reused by the rest.
+Schur factorization is computed by its first rollout and reused by the rest;
+it is built with numpy alone, by orthogonal deflation from the eigenvectors
+of ``Ad``.
 
-``scipy.linalg`` is imported by the code that needs it (the Schur
-factorization and ``c2d_zoh``), so commands that neither roll out nor
-discretize do not load scipy.
+Only ``c2d_zoh`` needs scipy (``scipy.linalg.expm``) and imports it itself,
+so fitting and rolling out load no scipy module; only the generators do.
 """
 
 from __future__ import annotations
@@ -99,10 +100,54 @@ class StateSpaceModel:
 
     @cached_property
     def _schur(self) -> tuple[np.ndarray, np.ndarray]:
-        """Real Schur factors ``(T, Q)`` of ``Ad``, computed once per model."""
-        import scipy.linalg
+        """Real Schur factors ``(T, Q)`` of ``Ad``, computed once per model:
+        ``Ad = Q T Q'``, ``Q`` orthogonal, ``T`` upper quasi-triangular.
 
-        return scipy.linalg.schur(self.Ad)
+        Orthogonal deflation (Golub & Van Loan, 7.4), with numpy alone. The
+        eigenvectors of a diagonal block of ``T`` (``Ad`` at first), in
+        LAPACK's order, make a basis whose leading columns span invariant
+        subspaces: ``Re v`` for a real eigenvalue, ``Re v`` and ``Im v`` for a
+        complex pair. QR turns it into an orthogonal ``H``, applied to ``T``
+        and ``Q``. If every entry below the 1 x 1 and pair blocks is then at
+        most ``4 n eps max|Ad|``, they are set to 0: one ``eig`` and one QR
+        for most models. Otherwise, near a defective eigenvalue, only the
+        first eigenvector's block is deflated and the rest is factored again,
+        as is a 2 x 2 block whose eigenvalues are real. The 2 x 2 blocks are
+        not put into LAPACK's standardized form, which the rollout's scan
+        does not need.
+        """
+        n = self.n_states
+        T, Q, todo = self.Ad.copy(), np.eye(n), [(0, n)]
+        tol = 4 * n * np.finfo(float).eps * np.abs(T).max(initial=0.0)
+        while todo:
+            k, e = todo.pop()
+            if e - k == 2:
+                a, b, c, d = T[k:e, k:e].ravel().tolist()
+                s = max(abs(a), abs(b), abs(c), abs(d)) or 1.0
+                if ((a - d) / s) ** 2 + 4 * (b / s) * (c / s) < -1e-12:
+                    continue  # a complex pair
+            elif e - k < 2:
+                continue
+            # LAPACK returns the eigenvalues in the order of its own Schur form
+            # of the balanced block, so the first j eigenvectors span invariant
+            # subspaces, and the first is that form's first Schur vector
+            w, v = np.linalg.eig(T[k:e, k:e])
+            if e - k == 2 and w[0].imag:
+                continue  # a complex pair
+            H = np.linalg.qr(np.where(w.imag < 0, v.imag, v.real))[0]
+            T[k:e, k:] = H.T @ T[k:e, k:]
+            T[:e, k:e] = T[:e, k:e] @ H
+            Q[:, k:e] = Q[:, k:e] @ H
+            i, W = np.arange(e - k), T[k:e, k:e]
+            below = i[:, None] > i + (w.imag > 0)  # below the 1 x 1 and pair blocks
+            if np.abs(W[below]).max() <= tol:  # every eigenvector deflates
+                W[below] = 0.0
+                todo += [(k + j, k + j + 2) for j in np.flatnonzero(w.imag > 0).tolist()]
+            else:  # the first one always does
+                f = k + 1 + int(w[0].imag > 0)
+                T[f:e, k:f] = 0.0
+                todo += [(k, f), (f, e)]
+        return T, Q
 
 
 def truncated_svd(M: np.ndarray, policy: TruncationPolicy) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:

@@ -28,7 +28,9 @@ total order gives results independent of the worker count. A pool is built
 in the parent before the workers fork, so every worker fits from the
 parent's factor. Pool workers return cost breakdowns that land in the
 parent's cache, in the order a serial run would add them, so serial and
-parallel callers see the same cache.
+parallel callers see the same cache. Both pools are plain
+``ProcessPoolExecutor``s: a worker fits and rolls out with numpy alone, so
+nothing needs importing before the fork.
 """
 
 from __future__ import annotations
@@ -221,18 +223,6 @@ def finish_winner(
 _WORKER_EVAL: SubsetEvaluator | None = None
 
 
-def _worker_pool(workers: int, **kwargs) -> ProcessPoolExecutor:
-    """A process pool whose forked workers inherit ``scipy.linalg``.
-
-    Every worker rolls models out, and rollout imports ``scipy.linalg`` on
-    first use; importing it here, before the fork, spares each worker that
-    import.
-    """
-    import scipy.linalg  # noqa: F401
-
-    return ProcessPoolExecutor(max_workers=workers, **kwargs)
-
-
 def _init_worker(evaluator: SubsetEvaluator) -> None:
     global _WORKER_EVAL
     _WORKER_EVAL = evaluator
@@ -267,7 +257,7 @@ def evaluate_subsets(
         evaluator.searched_pool(pool)
         size = math.ceil(len(todo) / (workers * 4))
         chunks = [todo[i : i + size] for i in range(0, len(todo), size)]
-        with _worker_pool(workers, initializer=_init_worker, initargs=(evaluator,)) as executor:
+        with ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(evaluator,)) as executor:
             parts = executor.map(_eval_chunk, chunks, [pool] * len(chunks))
             for chunk, part in zip(chunks, parts):
                 evaluator._cache.update(zip(chunk, part))
@@ -293,7 +283,7 @@ def run_restarts(
     """
     if workers <= 1 or n_restarts <= 1:
         return [fn(r, evaluator=evaluator) for r in range(n_restarts)]
-    with _worker_pool(workers, initializer=_init_worker, initargs=(evaluator,)) as pool:
+    with ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(evaluator,)) as pool:
         runs = list(pool.map(partial(_restart_in_worker, fn), range(n_restarts)))
     for _, added in runs:
         for key, b in added.items():

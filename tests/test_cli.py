@@ -392,33 +392,64 @@ class TestReportAndPrefilter:
 
 
 class TestColdStart:
-    def test_import_prefilter_and_report_load_no_scipy(self, tmp_path):
-        data = tmp_path / "data"
-        write_small_rlc(data)
-        run = tmp_path / "run"
-        run.mkdir()
-        (run / "cost_table.csv").write_text("method,cap,selected_count,J_train,J_test\n")
-        script = "\n".join(
-            [
-                "import sys",
-                "def scipy_modules():",
-                "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')",
-                "import statesel.cli",
-                "assert not scipy_modules(), ('import', scipy_modules())",
-                "prefilter = ['prefilter', '--data', sys.argv[1], '--manifest', sys.argv[2], '--out', sys.argv[3]]",
-                "assert statesel.cli.main(prefilter) == 0",
-                "assert not scipy_modules(), ('prefilter', scipy_modules())",
-                "assert statesel.cli.main(['report', '--run', sys.argv[4]]) == 0",
-                "assert not scipy_modules(), ('report', scipy_modules())",
-            ]
-        )
-        args = [data, data / "manifest.json", tmp_path / "report.csv", run]
+    """Commands run in a fresh interpreter, which then holds no scipy module."""
+
+    PRELUDE = [
+        "import sys",
+        "def scipy_modules():",
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')",
+        "import statesel.cli",
+        "assert not scipy_modules(), ('import', scipy_modules())",
+    ]
+
+    def run_fresh(self, lines, args):
         proc = subprocess.run(
-            [sys.executable, "-c", script, *map(str, args)],
+            [sys.executable, "-c", "\n".join(self.PRELUDE + lines), *map(str, args)],
             env={**os.environ, "PYTHONPATH": str(SRC)},
             capture_output=True,
             text=True,
             timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
+
+    def test_import_prefilter_and_report_load_no_scipy(self, tmp_path):
+        data = tmp_path / "data"
+        write_small_rlc(data)
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "cost_table.csv").write_text("method,cap,selected_count,J_train,J_test\n")
+        script = [
+            "prefilter = ['prefilter', '--data', sys.argv[1], '--manifest', sys.argv[2], '--out', sys.argv[3]]",
+            "assert statesel.cli.main(prefilter) == 0",
+            "assert not scipy_modules(), ('prefilter', scipy_modules())",
+            "assert statesel.cli.main(['report', '--run', sys.argv[4]]) == 0",
+            "assert not scipy_modules(), ('report', scipy_modules())",
+        ]
+        self.run_fresh(script, [data, data / "manifest.json", tmp_path / "report.csv", run])
         assert len((tmp_path / "report.csv").read_text().splitlines()) == 44
+
+    def test_select_and_predict_load_no_scipy(self, tmp_path):
+        data = tmp_path / "data"
+        write_small_rlc(data)
+        run = tmp_path / "run"
+        cfg = {
+            "data": str(data),
+            "manifest": str(data / "manifest.json"),
+            "out": str(run),
+            "seed": 1,
+            "ga": {"population_size": 16, "restarts": 2, "stall_generations": 8, "max_generations": 40},
+        }
+        (tmp_path / "run.json").write_text(json.dumps(cfg))
+        script = [
+            "select = ['select', '--config', sys.argv[1], '--method', 'both', '--cap', '3']",
+            "assert statesel.cli.main(select) == 0",
+            "assert not scipy_modules(), ('select', scipy_modules())",
+            "predict = ['predict', '--model', sys.argv[2], '--data', sys.argv[3], '--manifest', sys.argv[4],",
+            "           '--horizon', '40', '--out', sys.argv[5]]",
+            "assert statesel.cli.main(predict) == 0",
+            "assert not scipy_modules(), ('predict', scipy_modules())",
+        ]
+        args = [tmp_path / "run.json", run / "model_rfe_cap3.json", data, data / "manifest.json", tmp_path / "t.csv"]
+        self.run_fresh(script, args)
+        assert (run / "selection_ga_cap3.json").exists()
+        assert len((tmp_path / "t.csv").read_text().splitlines()) > 1

@@ -275,7 +275,17 @@ SCAN_TOL = 1e-11
 def draw_ad(kind, n, rng):
     """Transition matrix of a named family. Jordan blocks are defective and
     random ones non-normal; the others are normal, since the orthogonal
-    similarity applied last keeps normality."""
+    similarity applied last keeps normality. The defective families are
+    several Jordan blocks sharing one eigenvalue ("shared"), the same with one
+    corner entry off by 1e-16 to 1e-6, which splits the eigenvalue into a
+    cluster of real and complex ones ("near"), a nilpotent Jordan block, and
+    a Jordan chain of one complex pair repeated ("pairs", plus a real
+    eigenvalue for odd ``n``). "scaled-" before a kind scales row ``i`` by
+    ``d_i`` and column ``i`` by ``1 / d_i``, with ``d_i`` log-uniform over
+    1e-6 to 1e6, as channels of very different magnitudes couple."""
+    if kind.startswith("scaled-"):
+        d = 10.0 ** rng.uniform(-6, 6, n)
+        return draw_ad(kind[7:], n, rng) * d[:, None] / d
     if kind == "zero":
         return np.zeros((n, n))
     if kind == "identity":
@@ -286,6 +296,17 @@ def draw_ad(kind, n, rng):
         return A * radius / max(abs(np.linalg.eigvals(A)))
     if kind == "jordan":
         J = rng.uniform(-1.05, 1.05) * np.eye(n) + np.eye(n, k=1)
+    elif kind == "nilpotent":
+        J = np.eye(n, k=1)
+    elif kind in ("shared", "near"):
+        J = rng.uniform(-1.1, 1.1) * np.eye(n) + np.diag(rng.integers(0, 2, n - 1).astype(float), 1)
+        if kind == "near":
+            J[-1, 0] += rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-16, -6)
+    elif kind == "pairs":
+        r, th = rng.uniform(0.5, 1.1), rng.uniform(0, np.pi)
+        C = r * np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
+        J = np.diag(rng.uniform(-1, 1, n))
+        J[: n - n % 2, : n - n % 2] = np.kron(np.eye(n // 2), C) + np.eye(n - n % 2, k=2)
     else:  # "complex" pairs of any radius, or "rotation" pairs on the unit circle
         J = np.diag(rng.choice([-1.0, 1.0], n) if kind == "rotation" else rng.uniform(-1, 1, n))
         for i in range(0, n - 1, 2):
@@ -299,7 +320,8 @@ def draw_ad(kind, n, rng):
 def first_overflow(Ad, K):
     """Smallest ``s = 2^j < K`` whose power ``T^s`` of the Schur factor of
     ``Ad``, squared as the scan squares it, is not finite; else ``K``."""
-    P, s = scipy.linalg.schur(Ad)[0], 1
+    n = len(Ad)
+    P, s = make_model(Ad, np.zeros((n, 0)), np.zeros((0, n)))._schur[0], 1
     with np.errstate(over="ignore", invalid="ignore"):
         while s < K and np.all(np.isfinite(P)):
             P, s = P @ P, 2 * s
@@ -314,6 +336,63 @@ def transient_growth(Ad, K):
             P = Ad @ P
             g = max(g, float(np.linalg.norm(P)))
     return g
+
+
+def schur_error(Ad, T, Q):
+    """``||Q T Q' - Ad||_F / ||Ad||_F``, 0 for ``Ad = 0 = T``; both scaled by
+    ``max |Ad|`` first, so that the norms of large matrices do not overflow."""
+    scale = np.max(np.abs(Ad), initial=0.0) or 1.0
+    err = np.linalg.norm((Q @ T @ Q.T - Ad) / scale)
+    return err / np.linalg.norm(Ad / scale) if err else 0.0
+
+
+class TestSchur:
+    """The model's numpy real Schur factors, with ``scipy.linalg.schur`` held
+    to the same backward error bound."""
+
+    KINDS = ["stable", "unstable", "jordan", "complex", "rotation", "zero", "identity",
+             "shared", "near", "nilpotent", "pairs", "scaled-jordan", "scaled-near", "scaled-pairs"]
+
+    def assert_real_schur(self, Ad):
+        n = len(Ad)
+        T, Q = make_model(Ad, np.zeros((n, 0)), np.zeros((0, n)))._schur
+        assert T.shape == Q.shape == (n, n)
+        assert np.max(np.abs(Q.T @ Q - np.eye(n)), initial=0.0) <= 1e-13
+        assert schur_error(Ad, T, Q) <= 1e-13
+        assert schur_error(Ad, *scipy.linalg.schur(Ad)) <= 1e-13
+        assert np.all(np.tril(T, -2) == 0)
+        # a nonzero subdiagonal entry opens a 2 x 2 block of a complex pair
+        opens = np.flatnonzero(np.diag(T, -1))
+        assert np.all(np.diff(opens) > 1)
+        for i in opens:
+            assert np.all(np.linalg.eigvals(T[i : i + 2, i : i + 2]).imag != 0), (i, T)
+        return T, Q
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        kind=st.sampled_from(KINDS),
+        n=st.integers(min_value=1, max_value=10),
+        scale=st.sampled_from([1e-200, 1e-50, 1.0, 1e50, 1e200]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_matches_scipy_bound(self, kind, n, scale, seed):
+        self.assert_real_schur(draw_ad(kind, n, np.random.default_rng(seed)) * scale)
+
+    @pytest.mark.parametrize("n", [3, 4, 6])
+    def test_near_defective_clusters(self, n):
+        # the eigenvectors of a cluster are often too close to deflate all at
+        # once, and one draw in a few dozen leaves a pair block whose own
+        # eigenvalues are real in round-off, which must then be split
+        rng = np.random.default_rng(n)
+        for _ in range(300):
+            self.assert_real_schur(draw_ad("near", n, rng))
+
+    def test_block_count(self):
+        # two complex pairs and a real eigenvalue; one state is its own form
+        T, _ = self.assert_real_schur(draw_ad("pairs", 5, np.random.default_rng(4)))
+        assert np.count_nonzero(np.diag(T, -1)) == 2
+        T, Q = self.assert_real_schur(np.array([[0.7]]))
+        assert T[0, 0] == 0.7 and Q[0, 0] == 1.0
 
 
 class TestRolloutScan:

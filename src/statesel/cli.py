@@ -14,7 +14,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -63,21 +63,7 @@ class RunConfig:
         return cls(**doc)
 
     def to_dict(self) -> dict:
-        return {
-            "data": self.data,
-            "manifest": self.manifest,
-            "out": self.out,
-            "method": self.method,
-            "caps": self.caps,
-            "seed": self.seed,
-            "workers": self.workers,
-            "train_fraction": self.train_fraction,
-            "prefilter": self.prefilter,
-            "truncation": self.truncation,
-            "cost": self.cost,
-            "rfe": self.rfe,
-            "ga": self.ga,
-        }
+        return asdict(self)
 
 
 def _prepare_out(out: str | Path, overwrite: bool) -> Path:
@@ -209,15 +195,7 @@ def cmd_select(args: argparse.Namespace) -> int:
                 result.save(out / f"selection_{tag}.json")
                 save_model(result.model, out / f"model_{tag}.json")
                 traces = rollout_traces(result.model, test, result.indices)
-                rows = [
-                    (
-                        tr["realization"],
-                        np.vstack([tr["pred_x"], tr["pred_y"]]),
-                        np.vstack([tr["true_x"], tr["true_y"]]),
-                    )
-                    for tr in traces
-                ]
-                _write_trace_csv(out / f"trace_{tag}.csv", result.model, rows)
+                _write_trace_csv(out / f"trace_{tag}.csv", result.model, traces)
                 if method == "ga":
                     with open(out / f"ga_trace_cap{cap}.csv", "w", newline="") as gfh:
                         gw = csv.writer(gfh)

@@ -56,8 +56,7 @@ class CostBreakdown:
 
 def pooled_std(ds: TimeSeriesDataset) -> np.ndarray:
     """Population standard deviation of every channel, pooled across realizations."""
-    stacked = np.hstack(ds.realizations)
-    return stacked.std(axis=1)
+    return ds.data.std(axis=1)
 
 
 def cost(
@@ -111,40 +110,33 @@ class RolloutTruth:
 
     @classmethod
     def of(cls, ds: TimeSeriesDataset, state_idx: Sequence[int]) -> "RolloutTruth":
-        idx, reals = list(state_idx), ds.realizations
-        lengths = [arr.shape[1] - 1 for arr in reals]
+        idx, data, k = list(state_idx), ds.data, ds.pairs
         return cls(
             channels=tuple(idx),
-            x0=np.column_stack([arr[idx, 0] for arr in reals]),
-            V=np.hstack([arr[list(ds.input_indices), :-1] for arr in reals]),
-            Xp=np.hstack([arr[idx, 1:] for arr in reals]),
-            Yp=np.hstack([arr[list(ds.output_indices), 1:] for arr in reals]),
-            starts=tuple(np.cumsum([0] + lengths[:-1]).tolist()),
+            x0=data[np.ix_(idx, ds.starts)],
+            V=data[np.ix_(ds.input_indices, k)],
+            Xp=data[np.ix_(idx, k + 1)],
+            Yp=data[np.ix_(ds.output_indices, k + 1)],
+            # realization r has lost one column to each realization before it
+            starts=tuple((ds.starts - np.arange(len(ds.starts))).tolist()),
         )
 
 
 def rollout_traces(
     model: StateSpaceModel, ds: TimeSeriesDataset, state_idx: Sequence[int]
-) -> list[dict]:
-    """Per-realization predicted and true trajectories.
+) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """Per-realization ``(realization, predicted, truth)`` blocks, each with
+    the states ``state_idx`` above the outputs.
 
     Each realization starts from its true initial state and is driven by its
     recorded inputs; steps ``1..l-1`` are paired with the recorded states and
     outputs. All realizations are rolled out in one call.
     """
     truth = RolloutTruth.of(ds, state_idx)
-    Xh, Yh = rollout(model, truth.x0, truth.V, truth.starts)
-    bounds = list(truth.starts) + [Xh.shape[1]]
-    return [
-        {
-            "realization": r,
-            "pred_x": Xh[:, a:b],
-            "pred_y": Yh[:, a:b],
-            "true_x": truth.Xp[:, a:b],
-            "true_y": truth.Yp[:, a:b],
-        }
-        for r, (a, b) in enumerate(zip(bounds, bounds[1:]))
-    ]
+    pred = np.vstack(rollout(model, truth.x0, truth.V, truth.starts))
+    cuts = truth.starts[1:]
+    blocks = zip(np.hsplit(pred, cuts), np.hsplit(np.vstack([truth.Xp, truth.Yp]), cuts))
+    return [(r, p, t) for r, (p, t) in enumerate(blocks)]
 
 
 def rollout_cost(

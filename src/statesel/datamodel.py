@@ -4,6 +4,15 @@ Channels are described by a manifest (name, role, subsystem) and recorded as
 one matrix per realization with shape ``channels x steps``. All downstream
 operations index channels by their position in the manifest.
 
+In memory a dataset holds its recording once, and this module alone decides
+how it lies there. ``data`` is one read-only, C-ordered ``channels x samples``
+array with the realizations side by side in order; ``starts`` holds the
+column each realization begins at, and ``pairs`` the columns ``k`` whose
+``k + 1`` lies in the same realization, so a one-step pair never crosses a
+realization boundary. ``realizations`` are views of ``data``. Every reader
+slices ``data``: the snapshots of rows ``i`` are ``data[np.ix_(i, pairs)]``
+and ``data[np.ix_(i, pairs + 1)]``.
+
 File formats:
 
 * data CSV: header row of channel names, one row per time step, one file per
@@ -57,13 +66,18 @@ class SplitSpec:
 class TimeSeriesDataset:
     """Uniformly sampled multi-realization recordings plus channel metadata.
 
-    Immutable after construction: realization arrays are copied to float64 and
-    marked read-only, so datasets are safe to share across workers.
+    Immutable after construction: the realizations are copied once into the
+    float64 array ``data``, marked read-only, and become views of it, so
+    datasets are safe to share across workers. ``starts`` and ``pairs`` are
+    described in the module docstring.
     """
 
     dt: float
     realizations: tuple[np.ndarray, ...]
     manifest: tuple[ChannelMeta, ...]
+    data: np.ndarray = field(init=False, repr=False, compare=False)
+    starts: np.ndarray = field(init=False, repr=False, compare=False)
+    pairs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.dt > 0:
@@ -92,12 +106,21 @@ class TimeSeriesDataset:
                 raise DatasetError(
                     f"realization {r}: non-finite value in channel {names[ch]!r} at step {step}"
                 )
-            a = np.ascontiguousarray(a)
-            a.flags.writeable = False
             reals.append(a)
         if not reals:
             raise DatasetError("dataset has no realizations")
-        object.__setattr__(self, "realizations", tuple(reals))
+        lengths = [a.shape[1] for a in reals]
+        # an hstack of F-ordered parts is F-ordered, and row reductions on it
+        # round differently; the C-ordered target keeps them independent of
+        # how the parts were read
+        data = np.concatenate(reals, axis=1, out=np.empty((len(manifest), sum(lengths))))
+        starts = np.cumsum([0] + lengths[:-1])
+        ends = starts + lengths
+        pairs = np.delete(np.arange(ends[-1]), ends - 1)
+        for name, a in (("data", data), ("starts", starts), ("pairs", pairs)):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+        object.__setattr__(self, "realizations", tuple(np.hsplit(data, starts[1:])))
         object.__setattr__(self, "manifest", manifest)
         object.__setattr__(self, "_names", tuple(names))
         by_role = {r: tuple(i for i, x in enumerate(roles) if x == r) for r in ROLES}
@@ -133,10 +156,6 @@ class TimeSeriesDataset:
                 return i
         raise DatasetError(f"no channel named {name!r}")
 
-    def pooled(self, idx: int) -> np.ndarray:
-        """All samples of one channel, realizations concatenated in order."""
-        return np.concatenate([r[idx] for r in self.realizations])
-
     def subsystems(self) -> tuple[str, ...]:
         """Distinct subsystem labels of candidate channels, in manifest order."""
         out: list[str] = []
@@ -159,7 +178,6 @@ class SnapshotSet:
     Xp: np.ndarray
     V: np.ndarray
     Y: np.ndarray
-    L: int = field(default=-1)
 
     def __post_init__(self):
         X, Xp, V, Y = (np.asarray(m, dtype=float) for m in (self.X, self.Xp, self.V, self.Y))
@@ -172,7 +190,11 @@ class SnapshotSet:
         object.__setattr__(self, "Xp", Xp)
         object.__setattr__(self, "V", V)
         object.__setattr__(self, "Y", Y)
-        object.__setattr__(self, "L", X.shape[1])
+
+    @property
+    def L(self) -> int:
+        """The number of snapshot pairs."""
+        return self.X.shape[1]
 
 
 def load_manifest(path: str | Path) -> tuple[float, tuple[ChannelMeta, ...]]:
@@ -317,9 +339,8 @@ def split(ds: TimeSeriesDataset, spec: SplitSpec) -> tuple[TimeSeriesDataset, Ti
 def assemble_snapshots(ds: TimeSeriesDataset, state_idx: Iterable[int]) -> SnapshotSet:
     """Stack one-step-shifted snapshot pairs for the chosen state channels.
 
-    Each realization with ``l`` steps contributes ``l - 1`` column pairs;
-    realizations are concatenated columnwise without pairing across
-    boundaries.
+    Each realization with ``l`` steps contributes ``l - 1`` column pairs, in
+    realization order; no pair crosses a realization boundary.
     """
     state_idx = list(state_idx)
     if not state_idx:
@@ -331,14 +352,10 @@ def assemble_snapshots(ds: TimeSeriesDataset, state_idx: Iterable[int]) -> Snaps
                 f"state channel {ds.manifest[i].name!r} has role {role!r}; "
                 "states must be candidate channels"
             )
-    in_idx = list(ds.input_indices)
-    out_idx = list(ds.output_indices)
-    xs, xps, vs, ys = [], [], [], []
-    for arr in ds.realizations:
-        xs.append(arr[state_idx, :-1])
-        xps.append(arr[state_idx, 1:])
-        vs.append(arr[in_idx, :-1])
-        ys.append(arr[out_idx, :-1])
+    data, k = ds.data, ds.pairs
     return SnapshotSet(
-        X=np.hstack(xs), Xp=np.hstack(xps), V=np.hstack(vs), Y=np.hstack(ys)
+        X=data[np.ix_(state_idx, k)],
+        Xp=data[np.ix_(state_idx, k + 1)],
+        V=data[np.ix_(ds.input_indices, k)],
+        Y=data[np.ix_(ds.output_indices, k)],
     )

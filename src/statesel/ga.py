@@ -68,6 +68,10 @@ class GAConfig:
             raise ValueError("crossover_fraction must be in [0, 1]")
         if self.mutation_rate is not None and not 0.0 <= self.mutation_rate <= 1.0:
             raise ValueError("mutation_rate must be in [0, 1]")
+        if self.max_generations is not None and self.max_generations < 0:
+            raise ValueError("max_generations must not be negative")
+        if self.stall_generations < 1:
+            raise ValueError("stall_generations must be at least 1")
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
 

@@ -161,7 +161,7 @@ def prefilter(train: TimeSeriesDataset, cfg: PrefilterConfig | None = None) -> P
     cand = list(train.candidate_indices)
     if not cand:
         raise DatasetError("dataset has no candidate channels")
-    data = np.hstack(train.realizations)
+    data = train.data
     removed: list[Removal] = []
 
     # rule 1: near-constants on range-standardized channels, so epsilon is unit-free

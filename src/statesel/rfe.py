@@ -112,8 +112,7 @@ def _output_factor(
     survivors ``S`` of the pool have ``X_S^T = Q1 R11[:, S]`` and
     ``Q1^T Y^T = R12``, so their output map is fitted from ``k`` columns, not
     ``L``, with the singular values of the ``L``-column fit."""
-    A = np.hstack([r[pool + outputs, :-1] for r in train.realizations])
-    R = triangular_factor([A], len(pool))
+    R = triangular_factor([train.data[np.ix_(pool + outputs, train.pairs)]], len(pool))
     return R[:, : len(pool)], R[:, len(pool) :]
 
 
@@ -239,7 +238,7 @@ def cross_influence(
     labels = list(shortlists.keys())
     if len(labels) < 2:
         return {}
-    unit = _unit_rows(np.hstack(train.realizations))
+    unit = _unit_rows(train.data)
     already = {i for sl in shortlists.values() for i in sl}
     by_label: dict[str, list[int]] = {}
     for idx in pool:

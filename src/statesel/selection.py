@@ -38,7 +38,7 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from itertools import islice
 from pathlib import Path
@@ -79,22 +79,12 @@ class SelectionResult:
     model: StateSpaceModel = field(default=None, compare=False, repr=False)
 
     def to_dict(self) -> dict:
-        def breakdown(b: CostBreakdown) -> dict:
-            return {
-                "J": b.J,
-                "J_state": b.J_state,
-                "J_output": b.J_output,
-                "n": b.n,
-                "p": b.p,
-                "L": b.L,
-            }
-
         return {
             "indices": list(self.indices),
             "names": list(self.names),
             "method": self.method,
-            "j_train": breakdown(self.j_train),
-            "j_test": breakdown(self.j_test),
+            "j_train": asdict(self.j_train),
+            "j_test": asdict(self.j_test),
             "diagnostics": self.diagnostics,
         }
 

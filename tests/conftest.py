@@ -280,3 +280,34 @@ def per_realization_cost(model, ds, state_idx, scales):
         X = simulate_discrete(model.Ad, model.Bd, V, arr[state_idx, 0])[:, 1:]
         parts.append((X, model.Cd @ X, arr[state_idx, 1:], arr[list(ds.output_indices), 1:]))
     return cost(*(np.hstack([p[k] for p in parts]) for k in range(4)), scales)
+
+
+def snapshots_per_realization(ds, state_idx):
+    """``(X, Xp, V, Y)`` built one realization at a time and stacked: the
+    oracle for ``assemble_snapshots``."""
+    idx, ins, outs = list(state_idx), list(ds.input_indices), list(ds.output_indices)
+    parts = [(a[idx, :-1], a[idx, 1:], a[ins, :-1], a[outs, :-1]) for a in ds.realizations]
+    return tuple(np.hstack([p[k] for p in parts]) for k in range(4))
+
+
+def rollout_truth_per_realization(ds, state_idx):
+    """``(x0, V, Xp, Yp, starts)`` built one realization at a time and
+    stacked: the oracle for ``RolloutTruth.of``."""
+    idx, ins, outs = list(state_idx), list(ds.input_indices), list(ds.output_indices)
+    reals = ds.realizations
+    lengths = [a.shape[1] - 1 for a in reals]
+    return (
+        np.column_stack([a[idx, 0] for a in reals]),
+        np.hstack([a[ins, :-1] for a in reals]),
+        np.hstack([a[idx, 1:] for a in reals]),
+        np.hstack([a[outs, 1:] for a in reals]),
+        tuple(np.cumsum([0] + lengths[:-1]).tolist()),
+    )
+
+
+def pooled_std_per_realization(ds):
+    """Every channel's population standard deviation over each realization
+    copied C-ordered and stacked: the oracle for ``pooled_std``. A row
+    reduction over an F-ordered stack sums in another order and rounds
+    differently once a row holds more than a few columns."""
+    return np.hstack([np.ascontiguousarray(a) for a in ds.realizations]).std(axis=1)

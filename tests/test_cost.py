@@ -9,6 +9,7 @@ from statesel.cost import (
     cost,
     pooled_std,
     rollout_cost,
+    rollout_traces,
 )
 from statesel.datamodel import ChannelMeta, TimeSeriesDataset
 from statesel.dmdc import fit_model
@@ -198,6 +199,17 @@ class TestRolloutCostOracle:
             assert (got.n, got.p, got.L) == (want.n, want.p, want.L) == (len(subset), 2, 399 + 350 + 420 - 3)
             for field in ("J", "J_state", "J_output"):
                 assert getattr(got, field) == pytest.approx(getattr(want, field), rel=1e-9)
+
+    def test_traces_are_per_realization_blocks(self):
+        ds = self.dataset(np.random.default_rng(23))
+        subset, ins, outs = [3, 5], list(ds.input_indices), list(ds.output_indices)
+        model = fit_model(ds, subset)
+        traces = rollout_traces(model, ds, subset)
+        assert [r for r, _, _ in traces] == [0, 1, 2]
+        for (_, pred, true), arr in zip(traces, ds.realizations):
+            X = simulate_discrete(model.Ad, model.Bd, arr[ins, :-1], arr[subset, 0])[:, 1:]
+            assert np.array_equal(true, np.vstack([arr[subset, 1:], arr[outs, 1:]]))
+            np.testing.assert_allclose(pred, np.vstack([X, model.Cd @ X]), rtol=1e-9, atol=1e-9)
 
     def test_pool_rows_score_as_the_dataset(self):
         ds = self.dataset(np.random.default_rng(22))

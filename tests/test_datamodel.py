@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from statesel.cost import RolloutTruth, pooled_std
 from statesel.datamodel import (
     ChannelMeta,
     SnapshotSet,
@@ -16,7 +17,12 @@ from statesel.datamodel import (
 )
 from statesel.errors import DatasetError, DuplicateChannel
 
-from conftest import read_csv_oracle
+from conftest import (
+    pooled_std_per_realization,
+    read_csv_oracle,
+    rollout_truth_per_realization,
+    snapshots_per_realization,
+)
 
 
 def small_dataset(n_real=2, steps=100, seed=0):
@@ -380,3 +386,51 @@ def test_dataset_arrays_read_only():
     ds = small_dataset()
     with pytest.raises(ValueError):
         ds.realizations[0][0, 0] = 5.0
+    with pytest.raises(ValueError):
+        ds.data[0, 0] = 5.0
+
+
+class TestLayout:
+    """One C-ordered ``data`` array per dataset, read by every consumer,
+    against the per-realization loops of conftest."""
+
+    MANIFEST = (
+        ChannelMeta("u", "input"),
+        ChannelMeta("y0", "output"),
+        ChannelMeta("a", "candidate"),
+        ChannelMeta("b", "candidate"),
+        ChannelMeta("y1", "output"),
+        ChannelMeta("c", "candidate"),
+    )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        lengths=st.lists(st.integers(min_value=2, max_value=120), min_size=1, max_size=4),
+        fraction=st.floats(min_value=0.05, max_value=0.95),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @example(lengths=[120, 57, 3, 110], fraction=0.8, seed=3)
+    def test_data_matches_per_realization_loops(self, lengths, fraction, seed):
+        rng = np.random.default_rng(seed)
+        # transposed row-major draws are F-ordered, as ingest's parsed files are
+        scale = 10.0 ** rng.integers(-3, 4)
+        reals = [scale * rng.standard_normal((l, len(self.MANIFEST))).T for l in lengths]
+        ds = TimeSeriesDataset(0.1, tuple(reals), self.MANIFEST)
+        for r, a in zip(ds.realizations, reals):
+            assert np.array_equal(r, a)
+        cuts = [int(np.floor(fraction * l)) for l in lengths]
+        both_sides = all(2 <= c <= l - 2 for c, l in zip(cuts, lengths))
+        for d in [ds, *split(ds, SplitSpec(fraction))] if both_sides else [ds]:
+            assert d.data.flags.c_contiguous and not d.data.flags.writeable
+            assert d.data.shape == (len(self.MANIFEST), sum(r.shape[1] for r in d.realizations))
+            assert all(np.shares_memory(r, d.data) for r in d.realizations)
+            snaps = assemble_snapshots(d, [3, 2])
+            got = (snaps.X, snaps.Xp, snaps.V, snaps.Y)
+            for g, w in zip(got, snapshots_per_realization(d, [3, 2])):
+                assert g.shape == w.shape and np.array_equal(g, w)
+            truth = RolloutTruth.of(d, [5, 3])
+            x0, V, Xp, Yp, starts = rollout_truth_per_realization(d, [5, 3])
+            for g, w in zip((truth.x0, truth.V, truth.Xp, truth.Yp), (x0, V, Xp, Yp)):
+                assert g.shape == w.shape and np.array_equal(g, w)
+            assert truth.starts == starts
+            assert np.array_equal(pooled_std(d), pooled_std_per_realization(d))

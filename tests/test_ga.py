@@ -293,3 +293,13 @@ class TestGAConfig:
             GAConfig(max_states=2, crossover_fraction=1.5)
         with pytest.raises(ValueError):
             GAConfig(max_states=2, restarts=0)
+
+    def test_generation_limits_validated(self):
+        # a stall window below 1 would index past the best-cost trace
+        with pytest.raises(ValueError, match="stall_generations"):
+            GAConfig(max_states=2, stall_generations=0)
+        with pytest.raises(ValueError, match="stall_generations"):
+            GAConfig(max_states=2, stall_generations=-1)
+        with pytest.raises(ValueError, match="max_generations"):
+            GAConfig(max_states=2, max_generations=-1)
+        GAConfig(max_states=2, max_generations=0, stall_generations=1)

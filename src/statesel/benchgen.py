@@ -18,7 +18,7 @@ generating matrices and each derived channel's formula.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -44,19 +44,6 @@ class SquareWaveSpec:
             raise ValueError("period must be positive")
         if not 0.0 < self.duty < 1.0:
             raise ValueError("duty must be in (0, 1)")
-
-    def to_dict(self) -> dict:
-        return {
-            "offset": self.offset,
-            "amplitude": self.amplitude,
-            "period": self.period,
-            "duty": self.duty,
-            "phase": self.phase,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "SquareWaveSpec":
-        return cls(**doc)
 
 
 def square_wave(spec: SquareWaveSpec, t: np.ndarray | float) -> np.ndarray | float:
@@ -111,19 +98,6 @@ class RlcParams:
         A = np.array([[0.0, 1.0 / self.C], [-1.0 / self.L, -self.R / self.L]])
         B = np.array([[0.0], [-1.0 / self.L]])
         return A, B
-
-    def to_dict(self) -> dict:
-        return {
-            "R": self.R,
-            "L": self.L,
-            "C": self.C,
-            "dt": self.dt,
-            "duration": self.duration,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "RlcParams":
-        return cls(**doc)
 
 
 def default_rlc_excitations() -> tuple[SquareWaveSpec, ...]:
@@ -250,18 +224,31 @@ def rlc_truth(params: RlcParams | None = None, excitations=None) -> dict:
     table = _rlc_channel_table(params)
     return {
         "kind": "rlc",
-        "params": params.to_dict(),
+        "params": asdict(params),
         "A": A.tolist(),
         "B": B.tolist(),
         "output_map": [[1.0, 0.0], [0.0, params.R]],
         "true_states": list(RLC_TRUE_STATES),
         "expected_kept": list(RLC_EXPECTED_KEPT),
         "channel_formulas": {name: formula for name, formula, _ in table},
-        "excitations": [s.to_dict() for s in excitations],
+        "excitations": [asdict(s) for s in excitations],
     }
 
 
 # --- synthetic coupled block systems ------------------------------------------
+
+
+def _rows(matrix) -> tuple[tuple[float, ...], ...]:
+    return tuple(tuple(r) for r in matrix)
+
+
+def _cast(doc: dict, **casts) -> dict:
+    """``doc`` with each key named in ``casts`` passed through its cast.
+
+    The spec readers normalize outside JSON this way (lists to tuples,
+    integers to floats) and leave absent keys to the field defaults.
+    """
+    return {k: casts[k](v) if k in casts else v for k, v in doc.items()}
 
 
 @dataclass(frozen=True)
@@ -282,6 +269,19 @@ class ExtraChannel:
     def __post_init__(self):
         if self.kind not in ("mixture", "product", "square", "noise"):
             raise ValueError(f"unknown extra-channel kind {self.kind!r}")
+
+    def fits(self, n_states: int) -> bool:
+        """Whether the weights address a block of ``n_states`` states: one
+        weight per state for a mixture, two state indices for a product, one
+        for a square."""
+        if self.kind == "noise":
+            return True
+        if self.kind == "mixture":
+            return len(self.weights) == n_states
+        arity = 2 if self.kind == "product" else 1
+        return len(self.weights) == arity and all(
+            float(w).is_integer() and 0 <= w < n_states for w in self.weights
+        )
 
     def formula(self, state_names: Sequence[str]) -> str:
         if self.kind == "mixture":
@@ -307,22 +307,9 @@ class ExtraChannel:
             return self.scale * X_sub[int(self.weights[0])] ** 2
         return self.scale * rng.standard_normal(X_sub.shape[1])
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "weights": list(self.weights),
-            "scale": self.scale,
-        }
-
     @classmethod
     def from_dict(cls, doc: dict) -> "ExtraChannel":
-        return cls(
-            name=doc["name"],
-            kind=doc["kind"],
-            weights=tuple(doc.get("weights", ())),
-            scale=float(doc.get("scale", 1.0)),
-        )
+        return cls(**_cast(doc, weights=tuple, scale=float))
 
 
 @dataclass(frozen=True)
@@ -342,50 +329,43 @@ class SubsystemSpec:
             raise ValueError(f"subsystem {self.name}: A must be square")
         if np.any(np.linalg.eigvals(A).real >= 0):
             raise ValueError(f"subsystem {self.name}: A must be Hurwitz")
+        n = self.n_states
+        if len(self.B) != n:
+            raise ValueError(f"subsystem {self.name}: B has {len(self.B)} entries for {n} states")
+        if any(len(row) != n for row in self.C):
+            raise ValueError(f"subsystem {self.name}: every row of C needs {n} entries, one per state")
+        for e in self.extras:
+            if not e.fits(n):
+                raise ValueError(
+                    f"subsystem {self.name}: {e.kind} channel {e.name} has weights "
+                    f"{e.weights}, which do not fit its {n} states"
+                )
 
     @property
     def n_states(self) -> int:
         return len(self.A)
 
-    def a_matrix(self) -> np.ndarray:
-        return np.asarray(self.A, dtype=float)
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "A": [list(r) for r in self.A],
-            "B": list(self.B),
-            "C": [list(r) for r in self.C],
-            "output_gain": self.output_gain,
-            "extras": [e.to_dict() for e in self.extras],
-        }
+    def state_names(self) -> tuple[str, ...]:
+        return tuple(f"{self.name}.x{j + 1}" for j in range(self.n_states))
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SubsystemSpec":
-        return cls(
-            name=doc["name"],
-            A=tuple(tuple(r) for r in doc["A"]),
-            B=tuple(doc["B"]),
-            C=tuple(tuple(r) for r in doc["C"]),
-            output_gain=float(doc.get("output_gain", 1.0)),
-            extras=tuple(ExtraChannel.from_dict(e) for e in doc.get("extras", ())),
-        )
+        extras = lambda docs: tuple(ExtraChannel.from_dict(e) for e in docs)
+        return cls(**_cast(doc, A=_rows, B=tuple, C=_rows, output_gain=float, extras=extras))
 
 
 @dataclass(frozen=True)
 class Coupling:
-    """Directed influence: ``K @ x_src`` is added to the destination's dynamics."""
+    """Directed influence: ``K @ x_src`` is added to the destination's dynamics,
+    so ``K`` is (destination states) x (source states)."""
 
     src: str
     dst: str
     K: tuple[tuple[float, ...], ...]
 
-    def to_dict(self) -> dict:
-        return {"src": self.src, "dst": self.dst, "K": [list(r) for r in self.K]}
-
     @classmethod
     def from_dict(cls, doc: dict) -> "Coupling":
-        return cls(src=doc["src"], dst=doc["dst"], K=tuple(tuple(r) for r in doc["K"]))
+        return cls(**_cast(doc, K=_rows))
 
 
 @dataclass(frozen=True)
@@ -400,9 +380,16 @@ class SynthSystemSpec:
     def __post_init__(self):
         if not self.dt > 0 or not self.duration > 0:
             raise ValueError("dt and duration must be positive")
-        names = [s.name for s in self.subsystems]
-        if len(set(names)) != len(names):
+        sizes = {s.name: s.n_states for s in self.subsystems}
+        if len(sizes) != len(self.subsystems):
             raise ValueError("subsystem names must be unique")
+        for c in self.couplings:
+            label = f"coupling {c.src} -> {c.dst}"
+            if c.src not in sizes or c.dst not in sizes:
+                raise ValueError(f"{label}: unknown subsystem, have {sorted(sizes)}")
+            rows, cols = sizes[c.dst], sizes[c.src]
+            if len(c.K) != rows or any(len(r) != cols for r in c.K):
+                raise ValueError(f"{label}: K must be {rows} x {cols} (destination x source states)")
         A = self.full_matrices()[0]
         if np.any(np.linalg.eigvals(A).real >= 0):
             raise ValueError("coupled system matrix must be Hurwitz")
@@ -427,8 +414,8 @@ class SynthSystemSpec:
         for j, s in enumerate(self.subsystems):
             o = offsets[s.name]
             ns = s.n_states
-            A[o : o + ns, o : o + ns] = s.a_matrix()
-            B[o : o + ns, j] = np.asarray(s.B, dtype=float)
+            A[o : o + ns, o : o + ns] = s.A
+            B[o : o + ns, j] = s.B
             Cs = np.asarray(s.C, dtype=float) * s.output_gain
             C[row : row + Cs.shape[0], o : o + ns] = Cs
             row += Cs.shape[0]
@@ -439,29 +426,21 @@ class SynthSystemSpec:
         return A, B, C
 
     def state_names(self) -> tuple[str, ...]:
-        return tuple(
-            f"{s.name}.x{j + 1}" for s in self.subsystems for j in range(s.n_states)
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "subsystems": [s.to_dict() for s in self.subsystems],
-            "couplings": [c.to_dict() for c in self.couplings],
-            "noise_level": self.noise_level,
-            "dt": self.dt,
-            "duration": self.duration,
-            "seed": self.seed,
-        }
+        return tuple(name for s in self.subsystems for name in s.state_names())
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SynthSystemSpec":
+        """Spec from JSON, as ``asdict`` writes it into a truth document."""
         return cls(
-            subsystems=tuple(SubsystemSpec.from_dict(s) for s in doc["subsystems"]),
-            couplings=tuple(Coupling.from_dict(c) for c in doc.get("couplings", ())),
-            noise_level=float(doc.get("noise_level", 0.0)),
-            dt=float(doc.get("dt", 0.1)),
-            duration=float(doc.get("duration", 300.0)),
-            seed=int(doc.get("seed", 0)),
+            **_cast(
+                doc,
+                subsystems=lambda docs: tuple(SubsystemSpec.from_dict(s) for s in docs),
+                couplings=lambda docs: tuple(Coupling.from_dict(c) for c in docs),
+                noise_level=float,
+                dt=float,
+                duration=float,
+                seed=int,
+            )
         )
 
 
@@ -505,40 +484,26 @@ def default_coupled_spec() -> SynthSystemSpec:
 
 
 def default_decoupled_spec() -> SynthSystemSpec:
-    """Two independent blocks, equal gains, positive output rows.
+    """The coupled spec's two blocks without the coupling, with equal gains
+    and the same positive output row.
 
     Extras are nonlinear (products and squares), so elimination should rank
     the true states above them within each subsystem.
     """
-    extras = lambda prefix: (
-        ExtraChannel(name=f"{prefix}.prod", kind="product", weights=(0, 1)),
-        ExtraChannel(name=f"{prefix}.sq", kind="square", weights=(0,)),
-    )
-    return SynthSystemSpec(
-        subsystems=(
-            SubsystemSpec(
-                name="A",
-                A=((-0.35, 0.0), (0.6, -1.2)),
-                B=(1.0, 0.0),
-                C=((1.0, 0.3),),
-                output_gain=1.0,
-                extras=extras("A"),
+    coupled = default_coupled_spec()
+    blocks = tuple(
+        replace(
+            s,
+            C=((1.0, 0.3),),
+            output_gain=1.0,
+            extras=(
+                ExtraChannel(name=f"{s.name}.prod", kind="product", weights=(0, 1)),
+                ExtraChannel(name=f"{s.name}.sq", kind="square", weights=(0,)),
             ),
-            SubsystemSpec(
-                name="B",
-                A=((-0.3, 0.0), (0.5, -1.0)),
-                B=(0.8, 0.0),
-                C=((1.0, 0.3),),
-                output_gain=1.0,
-                extras=extras("B"),
-            ),
-        ),
-        couplings=(),
-        noise_level=1e-3,
-        dt=0.1,
-        duration=300.0,
-        seed=7,
+        )
+        for s in coupled.subsystems
     )
+    return replace(coupled, subsystems=blocks, couplings=())
 
 
 def default_synth_excitations(
@@ -591,34 +556,26 @@ def simulate_synth(
     A, B, C = spec.full_matrices()
     steps = int(round(spec.duration / spec.dt))
     t = np.arange(steps) * spec.dt
-    state_names = spec.state_names()
     manifest = [ChannelMeta(f"u.{s.name}", "input", s.name) for s in spec.subsystems]
     for s in spec.subsystems:
         for j in range(len(s.C)):
             manifest.append(ChannelMeta(f"y.{s.name}{j + 1}", "output", s.name))
     for s in spec.subsystems:
-        for j in range(s.n_states):
-            manifest.append(ChannelMeta(f"{s.name}.x{j + 1}", "candidate", s.name))
-        for e in s.extras:
-            manifest.append(ChannelMeta(e.name, "candidate", s.name))
+        for name in s.state_names() + tuple(e.name for e in s.extras):
+            manifest.append(ChannelMeta(name, "candidate", s.name))
     rng = np.random.default_rng(spec.seed)
-    offsets = {s.name: o for s, o in zip(spec.subsystems, np.cumsum([0] + [s.n_states for s in spec.subsystems[:-1]]))}
+    offsets = spec._offsets()
     reals = []
     for waves in excitations:
         if len(waves) != len(spec.subsystems):
             raise ValueError("need one excitation wave per input")
         V = np.vstack([square_wave(w, t) for w in waves])
         X = _zoh_response(A, B, spec.dt, V, np.zeros(A.shape[0]))
-        Y = C @ X
-        rows = [V[j] for j in range(V.shape[0])]
-        rows += [Y[j] for j in range(Y.shape[0])]
+        rows = [*V, *(C @ X)]
         for s in spec.subsystems:
             o = offsets[s.name]
             X_sub = X[o : o + s.n_states]
-            for j in range(s.n_states):
-                rows.append(X_sub[j].copy())
-            for e in s.extras:
-                rows.append(e.evaluate(X_sub, rng))
+            rows += [*X_sub, *(e.evaluate(X_sub, rng) for e in s.extras)]
         data = np.vstack(rows)
         if spec.noise_level > 0:
             n_inputs = len(spec.subsystems)
@@ -636,21 +593,17 @@ def synth_truth(
 ) -> dict:
     excitations = tuple(excitations or default_synth_excitations(spec))
     A, B, C = spec.full_matrices()
-    formulas = {}
-    for s in spec.subsystems:
-        sub_names = [f"{s.name}.x{j + 1}" for j in range(s.n_states)]
-        for e in s.extras:
-            formulas[e.name] = e.formula(sub_names)
+    formulas = {e.name: e.formula(s.state_names()) for s in spec.subsystems for e in s.extras}
     return {
         "kind": "synth",
-        "spec": spec.to_dict(),
+        "spec": asdict(spec),
         "A_full": A.tolist(),
         "B_full": B.tolist(),
         "C_full": C.tolist(),
         "state_names": list(spec.state_names()),
         "true_states": list(spec.state_names()),
         "channel_formulas": formulas,
-        "excitations": [[w.to_dict() for w in waves] for waves in excitations],
+        "excitations": [[asdict(w) for w in waves] for waves in excitations],
     }
 
 

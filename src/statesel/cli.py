@@ -14,7 +14,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -94,32 +94,24 @@ def _resolve_workers(flag: int | None, cfg_value: int = 1) -> int:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
+    if args.kind == "rlc" and args.seed is not None:
+        raise ValueError("--seed does not apply to rlc: the circuit has no random part")
     out = _prepare_out(args.out, args.overwrite)
+    doc = json.loads(Path(args.spec).read_text()) if args.spec else {}
+    waves = lambda docs: tuple(benchgen.SquareWaveSpec(**w) for w in docs)
     if args.kind == "rlc":
-        params = benchgen.RlcParams()
-        excitations = None
-        if args.spec:
-            doc = json.loads(Path(args.spec).read_text())
-            params = benchgen.RlcParams.from_dict(doc.get("params", {}))
-            if "excitations" in doc:
-                excitations = tuple(
-                    benchgen.SquareWaveSpec.from_dict(e) for e in doc["excitations"]
-                )
+        params = benchgen.RlcParams(**doc.get("params", {}))
+        excitations = waves(doc.get("excitations", ()))
         ds = benchgen.simulate_rlc(params, excitations)
         truth = benchgen.rlc_truth(params, excitations)
     else:
-        spec = benchgen.default_coupled_spec()
-        excitations = None
         if args.spec:
-            doc = json.loads(Path(args.spec).read_text())
             spec = benchgen.SynthSystemSpec.from_dict(doc.get("spec", doc))
-            if "excitations" in doc:
-                excitations = tuple(
-                    tuple(benchgen.SquareWaveSpec.from_dict(w) for w in waves)
-                    for waves in doc["excitations"]
-                )
+        else:
+            spec = benchgen.default_coupled_spec()
         if args.seed is not None:
-            spec = benchgen.SynthSystemSpec.from_dict({**spec.to_dict(), "seed": args.seed})
+            spec = replace(spec, seed=args.seed)
+        excitations = tuple(waves(r) for r in doc.get("excitations", ()))
         ds = benchgen.simulate_synth(spec, excitations)
         truth = benchgen.synth_truth(spec, excitations)
     emit(ds, out)

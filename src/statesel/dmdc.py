@@ -302,7 +302,9 @@ def rollout(
     one segment) and uses the input column ``k`` to advance from step ``k``
     to ``k + 1``. Returned trajectories cover steps ``1..l`` of each segment;
     the initial conditions are not included. Rolling several realizations out
-    in one call gives each the columns it would get on its own.
+    in one call gives each the columns it would get on its own to round-off
+    only: the batched products run on arrays of another shape, so about one
+    cell in a hundred can differ, by a few parts in 1e15.
 
     With ``Ad = Q T Q'`` (real Schur), the segments are laid side by side in
     a ``segments x n x longest`` array ``Z``, zero past each segment's end;

@@ -1,3 +1,5 @@
+from dataclasses import asdict, replace
+
 import numpy as np
 import pytest
 
@@ -173,7 +175,7 @@ class TestRlc:
 class TestSynth:
     def test_decoupled_block_stays_at_equilibrium(self):
         spec = default_decoupled_spec()
-        spec = SynthSystemSpec.from_dict({**spec.to_dict(), "noise_level": 0.0})
+        spec = replace(spec, noise_level=0.0)
         waves = (
             (
                 SquareWaveSpec(offset=0.0, amplitude=1.0, period=3.0),
@@ -199,7 +201,7 @@ class TestSynth:
 
     def test_noiseless_fit_is_exact(self):
         spec = default_coupled_spec()
-        spec = SynthSystemSpec.from_dict({**spec.to_dict(), "noise_level": 0.0})
+        spec = replace(spec, noise_level=0.0)
         ds = simulate_synth(spec)
         idx = [ds.index_of(n) for n in ds.names if n.endswith(".x1") or n.endswith(".x2")]
         snaps = assemble_snapshots(ds, idx)
@@ -209,7 +211,7 @@ class TestSynth:
 
     def test_zoh_exactness_against_oracle(self):
         spec = default_coupled_spec()
-        spec = SynthSystemSpec.from_dict({**spec.to_dict(), "noise_level": 0.0})
+        spec = replace(spec, noise_level=0.0)
         ds = simulate_synth(spec)
         A, B, _ = spec.full_matrices()
         Ad, Bd = c2d_zoh(A, B, spec.dt)
@@ -225,7 +227,7 @@ class TestSynth:
         d2 = simulate_synth(spec)
         for a, b in zip(d1.realizations, d2.realizations):
             assert np.array_equal(a, b)
-        other = SynthSystemSpec.from_dict({**spec.to_dict(), "seed": 8})
+        other = replace(spec, seed=8)
         d3 = simulate_synth(other)
         assert not np.array_equal(d1.realizations[0], d3.realizations[0])
 
@@ -246,9 +248,49 @@ class TestSynth:
                 ),
             )
 
+    def test_coupling_must_fit_its_blocks(self):
+        """Unchecked, a 3 x 3 ``K`` between 2-state blocks would write into the
+        neighbouring blocks' entries, and an unknown name would raise a bare
+        ``KeyError``."""
+        sub = lambda name: SubsystemSpec(
+            name=name, A=((-0.3, 0.0), (0.5, -1.0)), B=(1.0, 0.0), C=((1.0, 0.0),)
+        )
+        blocks = (sub("A"), sub("B"), sub("C"))
+        wide = ((0.1, 0.0, 0.0), (0.0, 0.1, 0.0), (0.0, 0.0, 0.1))
+        with pytest.raises(ValueError, match=r"coupling A -> B: K must be 2 x 2"):
+            SynthSystemSpec(subsystems=blocks, couplings=(Coupling(src="A", dst="B", K=wide),))
+        ragged = ((0.1, 0.0), (0.1,))
+        with pytest.raises(ValueError, match=r"coupling B -> C: K must be 2 x 2"):
+            SynthSystemSpec(subsystems=blocks, couplings=(Coupling(src="B", dst="C", K=ragged),))
+        with pytest.raises(ValueError, match=r"coupling A -> Z: unknown subsystem"):
+            SynthSystemSpec(subsystems=blocks, couplings=(Coupling(src="A", dst="Z", K=wide),))
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"B": (1.0, 0.0, 0.0)}, "B has 3 entries for 2 states"),
+            ({"C": ((1.0, 0.0), (1.0,))}, "every row of C needs 2 entries"),
+            ({"extras": (ExtraChannel(name="m", kind="mixture", weights=(1.0,)),)}, "mixture channel m"),
+            ({"extras": (ExtraChannel(name="p", kind="product", weights=(0, 2)),)}, "product channel p"),
+            ({"extras": (ExtraChannel(name="p", kind="product", weights=(0, 1, 1)),)}, "product channel p"),
+            ({"extras": (ExtraChannel(name="s", kind="square", weights=(-1,)),)}, "square channel s"),
+            ({"extras": (ExtraChannel(name="s", kind="square", weights=(0.5,)),)}, "square channel s"),
+        ],
+    )
+    def test_subsystem_shapes_checked(self, change, message):
+        base = dict(name="blk", A=((-0.3, 0.0), (0.5, -1.0)), B=(1.0, 0.0), C=((1.0, 0.0),))
+        with pytest.raises(ValueError, match=f"subsystem blk: {message}"):
+            SubsystemSpec(**{**base, **change})
+
+    def test_spec_reader_rejects_unknown_fields(self):
+        doc = asdict(default_coupled_spec())
+        doc["subsystems"][0]["extras"][0]["wieghts"] = [1.0, 0.0]
+        with pytest.raises(TypeError, match="wieghts"):
+            SynthSystemSpec.from_dict(doc)
+
     def test_spec_round_trips_through_dict(self):
         spec = default_coupled_spec()
-        back = SynthSystemSpec.from_dict(spec.to_dict())
+        back = SynthSystemSpec.from_dict(asdict(spec))
         assert back == spec
 
     def test_truth_records_formulas_and_coupling(self):

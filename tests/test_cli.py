@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -23,9 +24,16 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 def small_synth_spec_doc():
     spec = default_decoupled_spec()
-    doc = spec.to_dict()
+    doc = asdict(spec)
     doc["duration"] = 120.0
     return {"spec": doc}
+
+
+def assert_same_files(a: Path, b: Path):
+    names = sorted(p.name for p in a.iterdir())
+    assert names == sorted(p.name for p in b.iterdir())
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
 def write_small_rlc(out_dir: Path):
@@ -71,6 +79,52 @@ class TestGenerate:
         assert main(["generate", "synth", "--spec", str(spec_path), "--out", str(out)]) == 0
         ds = ingest(out, out / "manifest.json")
         assert set(c.subsystem for c in ds.manifest) == {"A", "B"}
+
+    def test_rlc_rejects_seed(self, tmp_path, capsys):
+        out = tmp_path / "data"
+        assert main(["generate", "rlc", "--seed", "3", "--out", str(out)]) == 1
+        assert "no random part" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_spec_errors_name_the_coupling(self, tmp_path, capsys):
+        doc = small_synth_spec_doc()
+        doc["spec"]["couplings"] = [{"src": "A", "dst": "Z", "K": [[0.1, 0.0], [0.0, 0.1]]}]
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(doc))
+        assert main(["generate", "synth", "--spec", str(spec_path), "--out", str(tmp_path / "d")]) == 1
+        err = capsys.readouterr().err
+        assert "coupling A -> Z" in err and "unknown subsystem" in err
+
+    @pytest.mark.parametrize("kind", ["rlc", "synth"])
+    def test_truth_is_a_complete_spec(self, tmp_path, kind):
+        """Feeding ``truth.json`` back as ``--spec`` rebuilds every file."""
+        if kind == "rlc":
+            waves = [{"offset": 0.0, "amplitude": 1.0, "period": 0.005}, {"offset": 2, "amplitude": 1, "period": 0.007}]
+            doc, seed = {"params": {"duration": 0.3}, "excitations": waves}, []
+        else:
+            doc, seed = small_synth_spec_doc(), ["--seed", "5"]
+        (tmp_path / "spec.json").write_text(json.dumps(doc))
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert main(["generate", kind, "--spec", str(tmp_path / "spec.json"), "--out", str(first), *seed]) == 0
+        assert main(["generate", kind, "--spec", str(first / "truth.json"), "--out", str(again)]) == 0
+        assert_same_files(first, again)
+
+    def test_integer_scalars_read_as_floats(self, tmp_path):
+        def spec_doc(number):
+            doc = asdict(default_decoupled_spec())
+            doc.update(dt=number(1), duration=number(60), noise_level=number(1))
+            for s in doc["subsystems"]:
+                s["output_gain"] = number(2)
+                for e in s["extras"]:
+                    e["scale"] = number(3)
+            return doc
+
+        for number in (float, int):
+            spec_path = tmp_path / f"{number.__name__}.json"
+            spec_path.write_text(json.dumps(spec_doc(number)))
+            out = tmp_path / number.__name__
+            assert main(["generate", "synth", "--spec", str(spec_path), "--out", str(out)]) == 0
+        assert_same_files(tmp_path / "float", tmp_path / "int")
 
 
 @pytest.fixture(scope="module")
@@ -453,3 +507,18 @@ class TestColdStart:
         self.run_fresh(script, args)
         assert (run / "selection_ga_cap3.json").exists()
         assert len((tmp_path / "t.csv").read_text().splitlines()) > 1
+
+    def test_generate_loads_only_scipy_linalg(self, tmp_path):
+        rlc = tmp_path / "rlc.json"
+        rlc.write_text(json.dumps({"params": {"duration": 0.2}}))
+        synth = tmp_path / "synth.json"
+        synth.write_text(json.dumps(small_synth_spec_doc()))
+        script = [
+            "for kind, spec, out in (('rlc', sys.argv[1], sys.argv[2]), ('synth', sys.argv[3], sys.argv[4])):",
+            "    assert statesel.cli.main(['generate', kind, '--spec', spec, '--out', out]) == 0",
+            "# scipy.version is a module scipy's own __init__ loads, not a subpackage",
+            "public = {m.split('.')[1] for m in scipy_modules() if '.' in m and not m.split('.')[1].startswith('_')}",
+            "assert public - {'version'} == {'linalg'}, scipy_modules()",
+        ]
+        self.run_fresh(script, [rlc, tmp_path / "r", synth, tmp_path / "s"])
+        assert (tmp_path / "s" / "truth.json").exists()

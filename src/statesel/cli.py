@@ -53,8 +53,9 @@ class RunConfig:
     def __post_init__(self):
         if self.method not in ("rfe", "ga", "both"):
             raise ValueError(f"method must be rfe, ga, or both, got {self.method!r}")
-        if not self.caps:
-            raise ValueError("cap list must be nonempty")
+        caps = self.caps
+        if not caps or not all(type(c) is int and c > 0 for c in caps) or len(set(caps)) < len(caps):
+            raise ValueError(f"caps must be distinct positive integers, got {caps}")
 
     @classmethod
     def load(cls, path: str | Path, overrides: dict | None = None) -> "RunConfig":
@@ -96,7 +97,6 @@ def _resolve_workers(flag: int | None, cfg_value: int = 1) -> int:
 def cmd_generate(args: argparse.Namespace) -> int:
     if args.kind == "rlc" and args.seed is not None:
         raise ValueError("--seed does not apply to rlc: the circuit has no random part")
-    out = _prepare_out(args.out, args.overwrite)
     doc = json.loads(Path(args.spec).read_text()) if args.spec else {}
     waves = lambda docs: tuple(benchgen.SquareWaveSpec(**w) for w in docs)
     if args.kind == "rlc":
@@ -114,6 +114,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         excitations = tuple(waves(r) for r in doc.get("excitations", ()))
         ds = benchgen.simulate_synth(spec, excitations)
         truth = benchgen.synth_truth(spec, excitations)
+    out = _prepare_out(args.out, args.overwrite)  # only once the spec has simulated
     emit(ds, out)
     benchgen.write_truth(truth, out / "truth.json")
     print(f"wrote {ds.n_realizations} realizations, {ds.n_channels} channels to {out}")
@@ -158,7 +159,10 @@ def cmd_select(args: argparse.Namespace) -> int:
         "out": args.out,
     }
     if args.cap:
-        overrides["caps"] = [int(c) for c in args.cap.split(",")]
+        try:
+            overrides["caps"] = [int(c) for c in args.cap.split(",")]
+        except ValueError:
+            raise ValueError(f"--cap must be comma-separated integers, got {args.cap!r}") from None
     cfg = RunConfig.load(args.config, overrides)
     cfg.workers = _resolve_workers(args.workers, cfg.workers)
     out = _prepare_out(cfg.out, args.overwrite)
@@ -202,8 +206,12 @@ def cmd_select(args: argparse.Namespace) -> int:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
+    if args.horizon < 0:
+        raise ValueError(f"--horizon must not be negative, got {args.horizon}")
     model = load_model(args.model)
     ds = ingest(args.data, args.manifest)
+    if ds.dt != model.dt:
+        raise DatasetError(f"the model's dt is {model.dt} s but the dataset's is {ds.dt} s")
     try:
         state_idx = [ds.index_of(n) for n in model.state_names]
         in_idx = [ds.index_of(n) for n in model.input_names]

@@ -388,5 +388,8 @@ def save_model(model: StateSpaceModel, path: str | Path) -> None:
 
 def load_model(path: str | Path) -> StateSpaceModel:
     doc = json.loads(Path(path).read_text())
-    names = {k: tuple(doc[k]) for k in ("state_names", "input_names", "output_names")}
-    return StateSpaceModel(Ad=doc["Ad"], Bd=doc["Bd"], Cd=doc["Cd"], dt=float(doc["dt"]), **names)
+    try:
+        names = {k: tuple(doc[k]) for k in ("state_names", "input_names", "output_names")}
+        return StateSpaceModel(Ad=doc["Ad"], Bd=doc["Bd"], Cd=doc["Cd"], dt=float(doc["dt"]), **names)
+    except KeyError as exc:
+        raise DatasetError(f"malformed model {path}: missing key {exc}") from exc

@@ -194,14 +194,13 @@ def ga_select(
     """Best-of-restarts GA search over the kept candidate pool.
 
     Restarts are independent and may run in parallel. Each generation of a
-    restart queries ``evaluator`` once per distinct mask in its population; a
-    mask missing from the cache is fitted from the reduction of ``pool``, or
-    from its own snapshots if ``pool`` is too wide to be reduced.
-    Serial restarts share ``evaluator``'s cache; each restart run in a worker
-    starts from the evaluator as it stood when the workers started, the
-    pool's reduction included, and its fits join ``evaluator``'s cache in
-    restart order once the restarts are done. Either way changes speed but
-    never results, of this search or of any later one on ``evaluator``.
+    restart queries ``evaluator`` once per distinct mask in its population;
+    a mask's cost, cached or not, is the one fitted from the reduction of
+    ``pool``, or from its own snapshots if ``pool`` is too wide to be
+    reduced. Restarts run in workers inherit the evaluator as it stood when
+    the workers started, the pool's reduction included, and what they fit
+    stays in the workers. So the result is the same for any worker count and
+    whatever searches ran on ``evaluator`` before.
     """
     pool = tuple(sorted(set(pool)))
     if not pool:

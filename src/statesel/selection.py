@@ -3,34 +3,31 @@
 Both selection methods score a candidate subset the same way: fit the
 discrete model, roll it out over the training realizations from their true
 initial states, and evaluate the normalized MSE cost. ``SubsetEvaluator``
-wraps that pipeline with a memo cache keyed by the subset, so repeated
-queries cost a single fit. One evaluator is built per selection run and holds
-its training set, truncation policy, scale floor and cache; every selector
-and every cap of the run share it, so a subset scored by one is never fitted
-again by another.
+wraps that pipeline with a memo cache, so repeated queries cost a single fit.
+One evaluator is built per selection run and holds its training set,
+truncation policy, scale floor and cache; every selector and every cap of the
+run share it.
 
 A selector names the pool it searches (RFE's merged pool, the GA's pool).
 For each such pool of at most ``REDUCED_POOL_MAX`` channels the evaluator
 builds, once, and keeps its ``PoolReduction`` (the triangular factor every
 subset of the pool is fitted from) and its ``RolloutTruth`` (the rows a
-rollout is scored against); subsets of a wider pool are fitted from their
-own snapshots. A subset is scored by one rollout of all its realizations.
-Fits from different pools agree to round-off, not bit for bit, so the
-cache's rule is that a subset's cost is the one from the first pool that
-scored it, whichever pool asks later. Every cap of a run shares the cache,
-so where costs tie to round-off a cap's result can depend on the caps
-before it. The winner's reported model and costs come from one fit on its
-own snapshots, whatever pool found it.
+rollout is scored against); subsets of a wider pool, or of no pool, are
+fitted from their own snapshots. A subset is scored by one rollout of all
+its realizations. Fits from different pools agree to round-off, not bit for
+bit, so a cost is cached under the pool it was fitted from and the subset: a
+query reads only a cost fitted from the pool it names, whatever other
+searches ran before it. The winner's reported model and costs come from one
+fit on its own snapshots, whatever pool found it.
 
-Evaluations are pure functions of (training data, subset, pool,
-configuration), so distributing them over a worker pool and reducing with a
-total order gives results independent of the worker count. A pool is built
+So a cost is a pure function of (training data, pool, subset,
+configuration): a search's result depends neither on the searches before it
+nor on where its costs were computed, and every (method, cap) result of a
+run is the one that cap alone writes, for any worker count. A pool is built
 in the parent before the workers fork, so every worker fits from the
-parent's factor. Pool workers return cost breakdowns that land in the
-parent's cache, in the order a serial run would add them, so serial and
-parallel callers see the same cache. Both pools are plain
-``ProcessPoolExecutor``s: a worker fits and rolls out with numpy alone, so
-nothing needs importing before the fork.
+parent's factor. ``evaluate_subsets``' workers return breakdowns that land
+in the parent's cache; a GA restart run in a worker returns only its result.
+Workers fit and roll out with numpy alone: nothing is imported before a fork.
 """
 
 from __future__ import annotations
@@ -40,7 +37,6 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import partial
-from itertools import islice
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
@@ -110,26 +106,33 @@ class SubsetEvaluator:
         self.scale_floor = scale_floor
         self.std = pooled_std(train)
         self._sigma_y = np.maximum(self.std[list(train.output_indices)], scale_floor)
-        self._cache: dict[tuple[int, ...], CostBreakdown | None] = {}
+        # (pool key, sorted subset) -> cost of the subset fitted from that pool
+        self._cache: dict[tuple[tuple[int, ...] | None, tuple[int, ...]], CostBreakdown | None] = {}
+        self._named: tuple[tuple[int, ...] | None, tuple[int, ...] | None] = (None, None)
         self._pools: dict[tuple[int, ...], tuple[PoolReduction, RolloutTruth]] = {}
         self.fit_count = 0
 
-    def searched_pool(
-        self, pool: Sequence[int] | None
-    ) -> tuple[PoolReduction, RolloutTruth] | None:
-        """The reduction and the rollout truth of ``pool``, built on first use
-        and kept; a caller that forks workers builds them first, so that the
-        workers inherit them. None for no pool or one of more than
-        ``REDUCED_POOL_MAX`` channels, whose subsets are fitted from their
-        own snapshots."""
+    def pool_key(self, pool: Sequence[int] | None) -> tuple[int, ...] | None:
+        """The key a cost fitted from ``pool`` is cached under: the sorted
+        pool if it gets a reduction, else None, as for no pool, since both fit
+        a subset from its own snapshots. The last pool named is remembered, so
+        queries that name their pool by one tuple work its key out once."""
         if pool is None:
             return None
-        key = tuple(sorted(set(pool)))
-        if len(key) > REDUCED_POOL_MAX:
-            return None
-        if key not in self._pools:
+        pool = tuple(pool)  # the same object if ``pool`` is a tuple
+        if pool is not self._named[0]:
+            key = tuple(sorted(set(pool)))
+            self._named = (pool, key if len(key) <= REDUCED_POOL_MAX else None)
+        return self._named[1]
+
+    def searched_pool(self, pool: Sequence[int] | None) -> tuple[PoolReduction, RolloutTruth] | None:
+        """The reduction and the rollout truth of ``pool``, built on first use
+        and kept; a caller that forks workers builds them first, so that the
+        workers inherit them. None where ``pool_key`` is None."""
+        key = self.pool_key(pool)
+        if key is not None and key not in self._pools:
             self._pools[key] = (PoolReduction.of(self.train, key), RolloutTruth.of(self.train, key))
-        return self._pools[key]
+        return None if key is None else self._pools[key]
 
     def scales_for(self, subset: Sequence[int]) -> ChannelScales:
         sigma_x = np.maximum(self.std[list(subset)], self.scale_floor)
@@ -146,15 +149,13 @@ class SubsetEvaluator:
     def breakdown(
         self, subset: Sequence[int], pool: Sequence[int] | None = None
     ) -> CostBreakdown | None:
-        """Training cost of a subset, or None if the fit is degenerate.
-
-        Memoized by subset: a subset is fitted from the reduction of ``pool``
-        the first time it is scored, and every later query returns that cost,
-        whatever pool it names.
-        """
+        """Training cost of ``subset`` fitted as ``fit`` does, or None if the
+        fit is degenerate. Memoized by (pool key, subset): a query that names
+        another pool never reads this cost."""
+        pool = self.pool_key(pool)
         key = tuple(sorted(subset))
-        if key in self._cache:
-            return self._cache[key]
+        if (pool, key) in self._cache:
+            return self._cache[pool, key]
         reduced = self.searched_pool(pool)
         data = reduced[1] if reduced else self.train
         try:
@@ -163,7 +164,7 @@ class SubsetEvaluator:
                 result = None
         except DegenerateSnapshots:
             result = None
-        self._cache[key] = result
+        self._cache[pool, key] = result
         return result
 
     def evaluate(self, subset: Sequence[int], pool: Sequence[int] | None = None) -> float:
@@ -218,11 +219,15 @@ def _init_worker(evaluator: SubsetEvaluator) -> None:
     _WORKER_EVAL = evaluator
 
 
-def _eval_chunk(
-    chunk: list[tuple[int, ...]], pool: tuple[int, ...] | None
-) -> list[CostBreakdown | None]:
+def _call_in_worker(fn: Callable[..., Any], item: Any) -> Any:
     assert _WORKER_EVAL is not None
-    return [_WORKER_EVAL.breakdown(s, pool) for s in chunk]
+    return fn(item, evaluator=_WORKER_EVAL)
+
+
+def _breakdowns(
+    chunk: list[tuple[int, ...]], pool: tuple[int, ...] | None, *, evaluator: SubsetEvaluator
+) -> list[CostBreakdown | None]:
+    return [evaluator.breakdown(s, pool) for s in chunk]
 
 
 def evaluate_subsets(
@@ -239,18 +244,19 @@ def evaluate_subsets(
     factor. The returned list is aligned with ``subsets`` regardless of
     scheduling, so any reduction over it is worker-count independent.
     """
+    pool = evaluator.pool_key(pool)
     todo = []
     if workers > 1:
         keys = dict.fromkeys(tuple(sorted(s)) for s in subsets)
-        todo = [k for k in keys if k not in evaluator._cache]
+        todo = [k for k in keys if (pool, k) not in evaluator._cache]
     if len(todo) >= 4:
         evaluator.searched_pool(pool)
         size = math.ceil(len(todo) / (workers * 4))
         chunks = [todo[i : i + size] for i in range(0, len(todo), size)]
         with ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(evaluator,)) as executor:
-            parts = executor.map(_eval_chunk, chunks, [pool] * len(chunks))
+            parts = executor.map(partial(_call_in_worker, partial(_breakdowns, pool=pool)), chunks)
             for chunk, part in zip(chunks, parts):
-                evaluator._cache.update(zip(chunk, part))
+                evaluator._cache.update(((pool, s), b) for s, b in zip(chunk, part))
     return [evaluator.evaluate(s, pool) for s in subsets]
 
 
@@ -266,26 +272,9 @@ def run_restarts(
 
     A pool worker gets ``evaluator`` once, when it starts (forked, it
     inherits the cache and reductions as they stand), not with every
-    restart. Each restart run in a worker sends back the cache entries it
-    added, and they are merged into ``evaluator``'s cache in restart order,
-    an entry already there winning, so the cache ends as a serial run leaves
-    it and later searches read the same costs whatever the worker count.
+    restart; a restart run there returns only its result.
     """
     if workers <= 1 or n_restarts <= 1:
         return [fn(r, evaluator=evaluator) for r in range(n_restarts)]
-    with ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(evaluator,)) as pool:
-        runs = list(pool.map(partial(_restart_in_worker, fn), range(n_restarts)))
-    for _, added in runs:
-        for key, b in added.items():
-            evaluator._cache.setdefault(key, b)
-    return [result for result, _ in runs]
-
-
-def _restart_in_worker(
-    fn: Callable[..., Any], restart: int
-) -> tuple[Any, dict[tuple[int, ...], CostBreakdown | None]]:
-    """A restart's result and the cache entries it added in this worker."""
-    assert _WORKER_EVAL is not None
-    seen = len(_WORKER_EVAL._cache)  # the cache only grows, in insertion order
-    result = fn(restart, evaluator=_WORKER_EVAL)
-    return result, dict(islice(_WORKER_EVAL._cache.items(), seen, None))
+    with ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(evaluator,)) as executor:
+        return list(executor.map(partial(_call_in_worker, fn), range(n_restarts)))

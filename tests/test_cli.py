@@ -95,6 +95,25 @@ class TestGenerate:
         err = capsys.readouterr().err
         assert "coupling A -> Z" in err and "unknown subsystem" in err
 
+    @pytest.mark.parametrize(
+        "kind, doc, message",
+        [
+            ("rlc", {"params": {"R": -1}}, "R must be positive"),
+            (
+                "synth",
+                {"spec": {"subsystems": []}, "excitations": [[{"offset": 0.0, "amplitude": 1.0, "period": 1.0}]]},
+                "one excitation wave per input",
+            ),
+        ],
+    )
+    def test_failing_spec_leaves_no_directory(self, tmp_path, capsys, kind, doc, message):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(doc))
+        out = tmp_path / "data"
+        assert main(["generate", kind, "--spec", str(spec_path), "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("kind", ["rlc", "synth"])
     def test_truth_is_a_complete_spec(self, tmp_path, kind):
         """Feeding ``truth.json`` back as ``--spec`` rebuilds every file."""
@@ -214,15 +233,15 @@ class TestSelect:
                 assert (out2 / name).read_bytes() == (out4 / name).read_bytes(), name
 
     def test_serial_and_parallel_cap_sweeps_write_the_same_files(self, tmp_path):
-        """A cap's searches read the costs that earlier caps left in the
-        cache, GA restarts run in workers included; on RLC's exact fits the
-        GA's best costs at cap 7 are round-off that depends on which pool
-        scored them first."""
+        """Every cap of a sweep writes what a run of that cap alone writes,
+        for 1 and 2 workers: a cap's searches read only costs fitted from
+        their own pools. On RLC's exact fits the GA's best costs are round-off
+        that depends on the pool a subset was fitted from."""
         data = tmp_path / "data"
         write_small_rlc(data)
-        outs = []
-        for w in (1, 2):
-            out = tmp_path / f"w{w}"
+
+        def select(name, caps, workers):
+            out = tmp_path / name
             cfg = {
                 "data": str(data),
                 "manifest": str(data / "manifest.json"),
@@ -230,17 +249,27 @@ class TestSelect:
                 "seed": 1,
                 "ga": {"population_size": 16, "restarts": 2, "stall_generations": 8, "max_generations": 40},
             }
-            path = tmp_path / f"run_w{w}.json"
+            path = tmp_path / f"{name}.json"
             path.write_text(json.dumps(cfg))
-            args = ["--method", "both", "--cap", "3,5,7", "--workers", str(w)]
+            args = ["--method", "both", "--cap", caps, "--workers", str(workers)]
             assert main(["select", "--config", str(path), *args]) == 0
-            outs.append(out)
-        names = sorted(p.name for p in outs[0].iterdir())
-        assert names == sorted(p.name for p in outs[1].iterdir())
-        assert "ga_trace_cap7.csv" in names
-        for name in names:
-            if name != "config.json":  # echoes the output directory and worker count
-                assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+            return out
+
+        alone = [select(f"cap{cap}", str(cap), 1) for cap in (3, 5, 7)]
+        tables = [(run / "cost_table.csv").read_text().splitlines(True) for run in alone]
+        table = tables[0][0] + "".join(row for t in tables for row in t[1:])  # one header
+        shared = ("config.json", "cost_table.csv", "prefilter_report.csv")
+        for workers in (1, 2):
+            sweep = select(f"sweep_w{workers}", "3,5,7", workers)
+            names = {p.name for run in alone for p in run.iterdir()}
+            assert {p.name for p in sweep.iterdir()} == names
+            assert (sweep / "cost_table.csv").read_text() == table
+            prefilter = (sweep / "prefilter_report.csv").read_bytes()
+            assert all((run / "prefilter_report.csv").read_bytes() == prefilter for run in alone)
+            for run in alone:
+                for path in run.iterdir():
+                    if path.name not in shared:
+                        assert (sweep / path.name).read_bytes() == path.read_bytes(), (workers, path.name)
 
     def test_env_var_sets_workers(self, synth_run, monkeypatch):
         root, cfg_path, _ = synth_run
@@ -338,6 +367,36 @@ class TestWorkerCount:
         assert "config field 'workers' must be a positive integer" in capsys.readouterr().err
 
 
+class TestCapList:
+    """A cap list that is empty, or has a cap below 1, a repeated cap or an
+    item that is not an integer, is refused before the run writes anything."""
+
+    @pytest.fixture
+    def config(self, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"data": str(tmp_path / "none"), "manifest": "m.json", "out": str(tmp_path / "out")}))
+        return path
+
+    @pytest.mark.parametrize("caps, shown", [("0", "[0]"), ("3,-1", "[3, -1]"), ("2,2", "[2, 2]")])
+    def test_flag(self, config, capsys, caps, shown):
+        assert main(["select", "--config", str(config), "--cap", caps]) == 1
+        assert f"caps must be distinct positive integers, got {shown}" in capsys.readouterr().err
+        assert not (config.parent / "out").exists()
+
+    def test_empty_item(self, config, capsys):
+        assert main(["select", "--config", str(config), "--cap", "2,,3"]) == 1
+        assert "--cap must be comma-separated integers, got '2,,3'" in capsys.readouterr().err
+        assert not (config.parent / "out").exists()
+
+    @pytest.mark.parametrize("caps", [[], [3, 3], [2.5], ["3"]])
+    def test_config_field(self, config, capsys, caps):
+        doc = json.loads(config.read_text())
+        config.write_text(json.dumps({**doc, "caps": caps}))
+        assert main(["select", "--config", str(config)]) == 1
+        assert "caps must be distinct positive integers" in capsys.readouterr().err
+        assert not (config.parent / "out").exists()
+
+
 class TestPredict:
     def test_exact_model_trace(self, tmp_path):
         data = tmp_path / "data"
@@ -415,6 +474,56 @@ class TestPredict:
         )
         assert code == 1
         assert "missing" in capsys.readouterr().err
+
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        """A small RLC dataset and a model fitted on it."""
+        data = tmp_path / "data"
+        ds = write_small_rlc(data)
+        train, _ = split(ds, SplitSpec(0.8))
+        model_path = tmp_path / "model.json"
+        save_model(fit_model(train, [ds.index_of("capacitor.v")]), model_path)
+        return data, model_path
+
+    def predict(self, data, model_path, out, horizon="5", manifest=None):
+        manifest = manifest or data / "manifest.json"
+        return main(
+            [
+                "predict",
+                "--model", str(model_path),
+                "--data", str(data),
+                "--manifest", str(manifest),
+                "--horizon", horizon,
+                "--out", str(out),
+            ]
+        )
+
+    def test_other_dt_refused(self, saved, tmp_path, capsys):
+        data, model_path = saved
+        doc = json.loads((data / "manifest.json").read_text())
+        manifest = tmp_path / "slow_manifest.json"
+        manifest.write_text(json.dumps({**doc, "dt_seconds": 0.5}))
+        out = tmp_path / "t.csv"
+        assert self.predict(data, model_path, out, manifest=manifest) == 1
+        assert "the model's dt is 0.001 s but the dataset's is 0.5 s" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_horizon_refused(self, saved, tmp_path, capsys):
+        data, model_path = saved
+        out = tmp_path / "t.csv"
+        assert self.predict(data, model_path, out, horizon="-3") == 1
+        assert "--horizon must not be negative, got -3" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_model_missing_a_key(self, saved, tmp_path, capsys):
+        data, model_path = saved
+        doc = json.loads(model_path.read_text())
+        del doc["state_names"]
+        model_path.write_text(json.dumps(doc))
+        assert self.predict(data, model_path, tmp_path / "t.csv") == 1
+        err = capsys.readouterr().err
+        assert f"malformed model {model_path}: missing key 'state_names'" in err
 
 
 class TestReportAndPrefilter:

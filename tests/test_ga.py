@@ -243,7 +243,7 @@ class TestGaSelect:
         d = res.diagnostics
         assert d["j_restart_best"] <= d["j_restart_median"]
         # the search's cost of the winner, fitted from the pool's reduction
-        assert ev.evaluate(res.indices) == d["j_restart_best"]
+        assert ev.evaluate(res.indices, ds.candidate_indices) == d["j_restart_best"]
         # the reported cost, of the winner's model fitted from its own snapshots
         assert res.j_train == SubsetEvaluator(train).breakdown(res.indices)
 

@@ -40,18 +40,32 @@ def test_ga_after_rfe_fits_only_its_winner(coupled_split, coupled_kept):
     assert ga.to_dict() == alone.to_dict()
 
 
-def test_parallel_restarts_leave_the_serial_cache(coupled_split, coupled_kept):
-    """GA restarts run in workers send back the costs they scored: the cache
-    a later search reads is the one serial restarts leave, entry for entry
-    and in the same order."""
+def test_a_later_search_reads_only_its_own_pools_costs(coupled_split, coupled_kept):
+    """After a GA search, serial or in workers, a search of another pool
+    writes what it writes on a fresh evaluator: it reads no cost fitted from
+    the first search's pool."""
     train, test = coupled_split
-    caches = []
+    later = lambda ev: ga_select(ev, test, coupled_kept[:5], small_ga(max_states=2))
+    alone = later(SubsetEvaluator(train)).to_dict()
     for workers in (1, 2):
         ev = SubsetEvaluator(train)
         ga_select(ev, test, coupled_kept, small_ga(), workers=workers)
-        caches.append(ev._cache)
-    assert len(caches[0]) > 0
-    assert list(caches[0].items()) == list(caches[1].items())
+        assert later(ev).to_dict() == alone
+        assert ev.pool_key(coupled_kept[:5]) in {pool for pool, _ in ev._cache}
+
+
+def test_costs_are_cached_per_pool(coupled_split, coupled_kept):
+    train, _ = coupled_split
+    pools = (coupled_kept[:6], coupled_kept[:3], None)
+    subset = coupled_kept[:2]
+    ev = SubsetEvaluator(train)
+    js = [ev.evaluate(subset, pool) for pool in pools]
+    assert ev.fit_count == 3  # one fit per pool: no query read another pool's cost
+    assert js == [SubsetEvaluator(train).evaluate(subset, pool) for pool in pools]
+    # the same pool named in another order, or by its key, reads the cached cost
+    assert ev.evaluate(subset[::-1], list(pools[0][::-1])) == js[0]
+    assert ev.evaluate(subset, ev.pool_key(pools[1])) == js[1]
+    assert ev.fit_count == 3
 
 
 def test_pool_breakdowns_land_in_the_callers_cache(coupled_split, coupled_kept):

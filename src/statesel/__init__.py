@@ -33,7 +33,7 @@ from .dmdc import (
 )
 from .errors import DatasetError, DegenerateSnapshots, DuplicateChannel, MergedPoolTooLarge
 from .ga import GAConfig, ga_select, repair
-from .prefilter import PrefilterConfig, PrefilterReport, correlation, prefilter
+from .prefilter import PrefilterConfig, PrefilterReport, prefilter
 from .rfe import (
     ImportanceMatrix,
     RFEConfig,
@@ -71,7 +71,6 @@ __all__ = [
     "TruncationPolicy",
     "assemble_snapshots",
     "c2d_zoh",
-    "correlation",
     "cost",
     "count_subsets",
     "cross_influence",

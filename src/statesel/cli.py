@@ -19,7 +19,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import benchgen
 from .cost import rollout_traces
 from .datamodel import SplitSpec, emit, ingest, split
 from .dmdc import StateSpaceModel, TruncationPolicy, load_model, rollout, save_model
@@ -95,6 +94,8 @@ def _resolve_workers(flag: int | None, cfg_value: int = 1) -> int:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
+    from . import benchgen  # only this command simulates; the others never load it
+
     if args.kind == "rlc" and args.seed is not None:
         raise ValueError("--seed does not apply to rlc: the circuit has no random part")
     doc = json.loads(Path(args.spec).read_text()) if args.spec else {}
@@ -122,12 +123,11 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_prefilter(args: argparse.Namespace) -> int:
-    ds = ingest(args.data, args.manifest)
-    train, _ = split(ds, SplitSpec(args.train_fraction))
+    train, _ = split(ingest(args.data, args.manifest), SplitSpec(args.train_fraction))
     cfg = PrefilterConfig(**json.loads(args.config)) if args.config else PrefilterConfig()
     report = prefilter(train, cfg)
     write_report_csv(report, train, args.out)
-    print(f"kept {len(report.kept)} of {len(ds.candidate_indices)} candidates -> {args.out}")
+    print(f"kept {len(report.kept)} of {len(train.candidate_indices)} candidates -> {args.out}")
     return 0
 
 
@@ -168,8 +168,8 @@ def cmd_select(args: argparse.Namespace) -> int:
     out = _prepare_out(cfg.out, args.overwrite)
     (out / "config.json").write_text(json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n")
 
-    ds = ingest(cfg.data, cfg.manifest)
-    train, test = split(ds, SplitSpec(cfg.train_fraction))
+    # the unsplit recording is freed once split
+    train, test = split(ingest(cfg.data, cfg.manifest), SplitSpec(cfg.train_fraction))
     report = prefilter(train, PrefilterConfig(**cfg.prefilter))
     write_report_csv(report, train, out / "prefilter_report.csv")
     evaluator = SubsetEvaluator(train, TruncationPolicy(**cfg.truncation), **cfg.cost)

@@ -27,6 +27,7 @@ import csv
 import json
 import math
 import re
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -221,11 +222,8 @@ def save_manifest(path: str | Path, dt: float, manifest: Sequence[ChannelMeta]) 
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _read_csv_realization(path: Path, manifest: Sequence[ChannelMeta]) -> np.ndarray:
-    with open(path) as fh:
-        head, *body = fh.read().split("\n")
-    if not (head or body):
-        raise DatasetError(f"{path}: empty file")
+def _column_order(path: Path, head: str, manifest: Sequence[ChannelMeta]) -> list[int]:
+    """The column of each manifest channel in a data CSV with header line ``head``."""
     header = [h.strip() for h in next(csv.reader([head]))]
     column = {h: j for j, h in enumerate(header)}
     if len(column) != len(header):
@@ -238,14 +236,59 @@ def _read_csv_realization(path: Path, manifest: Sequence[ChannelMeta]) -> np.nda
     extra = sorted(column.keys() - set(wanted), key=column.get)
     if extra:
         raise DatasetError(f"{path}: unknown channel(s) {extra}")
-    order = [column[n] for n in wanted]
+    return [column[n] for n in wanted]
+
+
+def _read_csv_realization(path: Path, manifest: Sequence[ChannelMeta]) -> np.ndarray:
+    """One data CSV as ``channels x steps`` in manifest order.
+
+    One ``np.loadtxt`` parses the rows straight from the open file, so the
+    file's text is never held whole. Its result is returned only when it is
+    what ``_read_csv_lines`` would return: one row per nonblank line (a
+    quoted cell can span lines), every row as wide as the header, at least 2
+    rows, all finite. Otherwise ``_read_csv_lines`` reads the file again and
+    names its first defect.
+    """
+    with open(path) as fh:
+        head = fh.readline()
+        if not head:
+            raise DatasetError(f"{path}: empty file")
+        order = _column_order(path, head.removesuffix("\n"), manifest)
+        lines = 0
+
+        def nonblank():
+            nonlocal lines
+            for line in fh:
+                if line != "\n":
+                    lines += 1
+                    yield line
+
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # loadtxt warns on no rows
+                vals = np.loadtxt(nonblank(), delimiter=",", quotechar='"', comments=None, ndmin=2)
+        except ValueError:
+            vals = None
+    if vals is None or lines < 2 or vals.shape != (lines, len(order)) or not np.isfinite(vals).all():
+        return _read_csv_lines(path, order, manifest)
+    # a reorder copies the rows, so it is made only for columns out of order
+    return (vals if order == sorted(order) else vals[:, order]).T
+
+
+def _read_csv_lines(path: Path, order: list[int], manifest: Sequence[ChannelMeta]) -> np.ndarray:
+    """The rows of a data CSV whose header gave the columns ``order``, read
+    line by line. The rows above the first defect are parsed, so that a
+    non-finite value among them is named before the defect (a ragged row or a
+    cell that is not a decimal float); then fewer than 2 rows is an error."""
+    wanted = [c.name for c in manifest]
+    body = Path(path).read_text().split("\n")[1:]
     linenos = [n for n, line in enumerate(body, start=2) if line]
     body = [line for line in body if line]
     # Parse the rows above the first defect (a ragged row, or a row loadtxt
     # rejects), so that a non-finite value above it is reported first.
-    commas = len(header) - 1
+    commas = len(order) - 1
     good = next((i for i, line in enumerate(body) if line.count(",") != commas), len(body))
-    vals = np.empty((0, len(header)))
+    vals = np.empty((0, len(order)))
     while good and not len(vals):
         try:
             vals = np.loadtxt(
@@ -262,8 +305,8 @@ def _read_csv_realization(path: Path, manifest: Sequence[ChannelMeta]) -> np.nda
     if good < len(body):
         where = f"{path}: row {linenos[good]}"
         cells = next(csv.reader([body[good]]))
-        if len(cells) != len(header):
-            raise DatasetError(f"{where} has {len(cells)} cells, expected {len(header)}")
+        if len(cells) != len(order):
+            raise DatasetError(f"{where} has {len(cells)} cells, expected {len(order)}")
         try:
             [float(cells[j]) for j in order]
         except ValueError as exc:

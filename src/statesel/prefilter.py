@@ -14,6 +14,10 @@ Complete linkage guarantees that every removed duplicate meets the
 correlation bar against its kept representative. The clustering is done in
 numpy here (``_complete_linkage``); it forms the partition of scipy's
 ``fcluster(complete(...), t, criterion="distance")``.
+
+Memory: beyond its input, a run holds one matrix of the survivors' unit rows
+and then one Gram matrix of the channels rule 2 kept; every other temporary
+is a block of ``ROW_BLOCK`` rows, or the distances of the rows that can merge.
 """
 
 from __future__ import annotations
@@ -21,11 +25,17 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
 from .datamodel import TimeSeriesDataset
 from .errors import DatasetError
+
+# Rows per block of a row-wise pass (range variance, unit rows, the flags of
+# rows within the dedupe threshold), so that no temporary grows with the
+# number of candidates. Every result is row-wise and does not depend on it.
+ROW_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -63,34 +73,22 @@ class PrefilterReport:
         return tuple(r.index for r in self.removed)
 
 
-def correlation(a: np.ndarray, b: np.ndarray) -> float:
-    """Pearson correlation; constant vectors count as uncorrelated (0)."""
-    a = np.asarray(a, dtype=float).reshape(-1)
-    b = np.asarray(b, dtype=float).reshape(-1)
-    if a.shape[0] != b.shape[0]:
-        raise DatasetError(f"length mismatch: {a.shape[0]} vs {b.shape[0]}")
-    if a.shape[0] < 2:
-        raise DatasetError("correlation needs at least 2 samples")
-    if a.max() == a.min() or b.max() == b.min():
-        return 0.0
-    da = a - a.mean()
-    db = b - b.mean()
-    na = np.sqrt(np.sum(da * da))
-    nb = np.sqrt(np.sum(db * db))
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(np.dot(da, db) / (na * nb))
-
-
-def _unit_rows(rows: np.ndarray) -> np.ndarray:
-    """Rows centered and scaled to unit norm, so that their inner products are
-    Pearson correlations; a constant row becomes zero and correlates with nothing."""
-    centered = rows - rows.mean(axis=1, keepdims=True)
-    norms = np.sqrt(np.sum(centered * centered, axis=1))
-    # a constant row's rounded mean can leave it a tiny nonzero norm
-    const = (norms == 0.0) | (rows.max(axis=1) == rows.min(axis=1))
-    centered[const] = 0.0
-    return centered / np.where(const, 1.0, norms)[:, None]
+def _unit_rows(data: np.ndarray, idx: Sequence[int]) -> np.ndarray:
+    """Rows ``idx`` of ``data`` centered and scaled to unit norm, so that their
+    inner products are Pearson correlations; a constant row becomes zero and
+    correlates with nothing. Worked out ``ROW_BLOCK`` rows at a time."""
+    idx = np.asarray(idx, dtype=np.intp)
+    out = np.empty((len(idx), data.shape[1]))
+    for b in range(0, len(idx), ROW_BLOCK):
+        rows = data[idx[b : b + ROW_BLOCK]]  # a copy, centered in place
+        # a constant row's rounded mean can leave it a tiny nonzero norm
+        const = rows.max(axis=1) == rows.min(axis=1)
+        rows -= rows.mean(axis=1, keepdims=True)
+        norms = np.sqrt(np.sum(rows * rows, axis=1))
+        const |= norms == 0.0
+        rows[const] = 0.0
+        np.divide(rows, np.where(const, 1.0, norms)[:, None], out=out[b : b + ROW_BLOCK])
+    return out
 
 
 def _complete_linkage(dist: np.ndarray, t: float) -> list[list[int]]:
@@ -145,13 +143,18 @@ def _complete_linkage(dist: np.ndarray, t: float) -> list[list[int]]:
     return [sorted(m) for m in members if len(m) > 1]
 
 
-def _range_variance(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Which rows are constant, and each row's variance after division by its
-    range (0 for a constant row)."""
-    span = rows.max(axis=1) - rows.min(axis=1)
-    const = span == 0.0
-    var = np.zeros(len(rows))
-    var[~const] = np.var(rows[~const] / span[~const, None], axis=1)
+def _range_variance(data: np.ndarray, idx: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Which rows ``idx`` of ``data`` are constant, and each one's variance
+    after division by its range (0 for a constant row)."""
+    idx = np.asarray(idx, dtype=np.intp)
+    const = np.empty(len(idx), dtype=bool)
+    var = np.zeros(len(idx))
+    for b in range(0, len(idx), ROW_BLOCK):
+        rows = data[idx[b : b + ROW_BLOCK]]
+        span = rows.max(axis=1) - rows.min(axis=1)
+        live = span != 0.0
+        const[b : b + ROW_BLOCK] = ~live
+        var[b : b + ROW_BLOCK][live] = np.var(rows[live] / span[live, None], axis=1)
     return const, var
 
 
@@ -166,7 +169,7 @@ def prefilter(train: TimeSeriesDataset, cfg: PrefilterConfig | None = None) -> P
 
     # rule 1: near-constants on range-standardized channels, so epsilon is unit-free
     survivors: list[int] = []
-    const, variance = _range_variance(data[cand])
+    const, variance = _range_variance(data, cand)
     for idx, is_const, var in zip(cand, const.tolist(), variance.tolist()):
         if is_const or var < cfg.variance_epsilon:
             removed.append(Removal(index=idx, reason="near_constant", evidence=var))
@@ -174,24 +177,39 @@ def prefilter(train: TimeSeriesDataset, cfg: PrefilterConfig | None = None) -> P
             survivors.append(idx)
 
     # rule 2: collinearity with any input channel
-    inputs = _unit_rows(data[list(train.input_indices)])
-    evidence = np.abs(_unit_rows(data[survivors]) @ inputs.T).max(axis=1)
-    kept_after_inputs: list[int] = []
-    for idx, r_max in zip(survivors, evidence.tolist()):
+    unit = _unit_rows(data, survivors)
+    evidence = np.abs(unit @ _unit_rows(data, train.input_indices).T).max(axis=1)
+    kept: list[int] = []
+    rows: list[int] = []  # the row of ``unit`` of each kept channel
+    for row, (idx, r_max) in enumerate(zip(survivors, evidence.tolist())):
         if r_max > cfg.input_corr_threshold:
             removed.append(Removal(index=idx, reason="input_collinear", evidence=r_max))
         else:
-            kept_after_inputs.append(idx)
+            kept.append(idx)
+            rows.append(row)
 
     # rule 3: duplicate clusters among survivors, each kept as its lowest
     # index (``kept`` is ascending, so that is the cluster's first position)
-    kept = kept_after_inputs
     if cfg.dedupe_enabled and len(kept) > 1:
-        unit = _unit_rows(data[kept])
-        corr = np.clip(np.abs(unit @ unit.T), 0.0, 1.0)
-        dist = 1.0 - corr
+        # the kept rows move to the front of ``unit`` in place, rows[i] >= i
+        for b in range(0, len(rows), ROW_BLOCK):
+            block = rows[b : b + ROW_BLOCK]
+            unit[b : b + len(block)] = unit[block]
+        corr = unit[: len(kept)] @ unit[: len(kept)].T
+        del unit
+        np.clip(np.abs(corr, out=corr), 0.0, 1.0, out=corr)
+        # only rows within t of another row can merge; the distance matrix
+        # 1 - corr is formed for those alone
+        t = 1.0 - cfg.dedupe_corr_threshold
+        near = np.empty(len(kept), dtype=bool)
+        for b in range(0, len(kept), ROW_BLOCK):
+            within = 1.0 - corr[b : b + ROW_BLOCK] <= t
+            np.fill_diagonal(within[:, b:], False)
+            near[b : b + ROW_BLOCK] = within.any(axis=1)
+        active = np.flatnonzero(near)
         duplicates: set[int] = set()
-        for rep, *others in _complete_linkage(dist, 1.0 - cfg.dedupe_corr_threshold):
+        for members in _complete_linkage(1.0 - corr[np.ix_(active, active)], t):
+            rep, *others = active[members].tolist()
             for m in others:
                 removed.append(
                     Removal(

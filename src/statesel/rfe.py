@@ -238,8 +238,12 @@ def cross_influence(
     labels = list(shortlists.keys())
     if len(labels) < 2:
         return {}
-    unit = _unit_rows(train.data)
     already = {i for sl in shortlists.values() for i in sl}
+    # the unit rows of the channels read below: pool candidates and targets
+    read = sorted({*pool, *already, *train.output_indices})
+    unit = _unit_rows(train.data, read)
+    row = {idx: k for k, idx in enumerate(read)}
+    unit_of = lambda channels: unit[[row[i] for i in channels]]
     by_label: dict[str, list[int]] = {}
     for idx in pool:
         by_label.setdefault(train.manifest[idx].subsystem, []).append(idx)
@@ -252,7 +256,7 @@ def cross_influence(
                 i for i in train.output_indices if train.manifest[i].subsystem == dst
             ]
             cands = [idx for idx in by_label.get(src, []) if idx not in already]
-            scores = np.abs(unit[cands] @ unit[targets].T).max(axis=1, initial=0.0)
+            scores = np.abs(unit_of(cands) @ unit_of(targets).T).max(axis=1, initial=0.0)
             scored = list(zip(cands, scores.tolist()))
             # best score first; ties favor the lower channel index
             scored.sort(key=lambda t: (-t[1], t[0]))

@@ -19,6 +19,8 @@ from statesel.datamodel import (
     SplitSpec,
     TimeSeriesDataset,
     assemble_snapshots,
+    emit,
+    ingest,
     split,
 )
 from statesel.cost import cost
@@ -128,6 +130,58 @@ def wide_split():
         for arr in ds.realizations
     )
     return split(TimeSeriesDataset(ds.dt, reals, tuple(manifest)), SplitSpec(0.8))
+
+def correlation(a, b):
+    """Pearson correlation of two vectors by the textbook formula; constant
+    vectors count as uncorrelated (0). The oracle for the prefilter's and
+    cross-influence's correlations from unit rows."""
+    a = np.asarray(a, dtype=float).reshape(-1)
+    b = np.asarray(b, dtype=float).reshape(-1)
+    if a.shape[0] != b.shape[0]:
+        raise DatasetError(f"length mismatch: {a.shape[0]} vs {b.shape[0]}")
+    if a.shape[0] < 2:
+        raise DatasetError("correlation needs at least 2 samples")
+    if a.max() == a.min() or b.max() == b.min():
+        return 0.0
+    da = a - a.mean()
+    db = b - b.mean()
+    na = np.sqrt(np.sum(da * da))
+    nb = np.sqrt(np.sum(db * db))
+    if na == 0.0 or nb == 0.0:
+        return 0.0
+    return float(np.dot(da, db) / (na * nb))
+
+
+@pytest.fixture(scope="session")
+def wide_csv(tmp_path_factory):
+    """A wide recording written as CSV files, small enough to read in a
+    fraction of a second: 1 input, 1 output and 400 random-walk candidates
+    over 2 realizations of 300 steps. Every tenth candidate is a scaled copy
+    of the next (duplicates), every fiftieth a noisy copy of the input
+    (input-collinear) and every hundredth constant (near-constant), so each
+    prefilter rule removes some. Returns the directory; its manifest is
+    ``manifest.json``."""
+    rng = np.random.default_rng(11)
+    n, steps = 400, 300
+    manifest = [ChannelMeta("u", "input"), ChannelMeta("y", "output")]
+    manifest += [ChannelMeta(f"c{j}", "candidate") for j in range(n)]
+    reals = []
+    for _ in range(2):
+        u = np.cumsum(rng.standard_normal(steps))
+        cand = np.cumsum(rng.standard_normal((n, steps)), axis=1)
+        cand[::10] = 3.0 * cand[1::10] + 1.0
+        cand[5::50] = 2.0 * u + 1e-3 * rng.standard_normal((n // 50, steps))
+        cand[7::100] = 4.2
+        reals.append(np.vstack([u, u + rng.standard_normal(steps), cand]))
+    out = tmp_path_factory.mktemp("wide_csv")
+    emit(TimeSeriesDataset(0.1, tuple(reals), tuple(manifest)), out)
+    return out
+
+
+@pytest.fixture(scope="session")
+def wide_csv_split(wide_csv):
+    return split(ingest(wide_csv, wide_csv / "manifest.json"), SplitSpec(0.8))
+
 
 def random_stable_discrete(rng, n, m, p, radius=0.9):
     """Random discrete (Ad, Bd, Cd) with spectral radius scaled below 1."""

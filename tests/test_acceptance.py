@@ -14,7 +14,7 @@ from statesel.cost import ChannelScales, cost, rollout_cost
 from statesel.datamodel import SnapshotSet
 from statesel.dmdc import c2d_zoh, fit_dynamics, fit_model, fit_output_map, rollout
 from statesel.ga import GAConfig, ga_select
-from statesel.prefilter import correlation, prefilter
+from statesel.prefilter import prefilter
 from statesel.rfe import (
     RFEConfig,
     count_subsets,
@@ -26,7 +26,7 @@ from statesel.rfe import (
 )
 from statesel.selection import SubsetEvaluator, subset_key
 
-from conftest import random_stable_discrete, simulate_discrete
+from conftest import correlation, random_stable_discrete, simulate_discrete
 
 
 def report(criterion: int, detail: str) -> None:

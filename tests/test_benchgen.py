@@ -21,7 +21,8 @@ from statesel.benchgen import (
 )
 from statesel.datamodel import assemble_snapshots
 from statesel.dmdc import c2d_zoh, fit_dynamics, fit_output_map
-from statesel.prefilter import correlation
+
+from conftest import correlation
 
 
 class TestSquareWave:

@@ -555,7 +555,8 @@ class TestReportAndPrefilter:
 
 
 class TestColdStart:
-    """Commands run in a fresh interpreter, which then holds no scipy module."""
+    """Commands run in a fresh interpreter, which then holds no scipy module;
+    only ``generate`` loads the simulators of ``statesel.benchgen``."""
 
     PRELUDE = [
         "import sys",
@@ -563,6 +564,7 @@ class TestColdStart:
         "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')",
         "import statesel.cli",
         "assert not scipy_modules(), ('import', scipy_modules())",
+        "assert 'statesel.benchgen' not in sys.modules, 'import'",
     ]
 
     def run_fresh(self, lines, args):
@@ -585,8 +587,10 @@ class TestColdStart:
             "prefilter = ['prefilter', '--data', sys.argv[1], '--manifest', sys.argv[2], '--out', sys.argv[3]]",
             "assert statesel.cli.main(prefilter) == 0",
             "assert not scipy_modules(), ('prefilter', scipy_modules())",
+            "assert 'statesel.benchgen' not in sys.modules, 'prefilter'",
             "assert statesel.cli.main(['report', '--run', sys.argv[4]]) == 0",
             "assert not scipy_modules(), ('report', scipy_modules())",
+            "assert 'statesel.benchgen' not in sys.modules, 'report'",
         ]
         self.run_fresh(script, [data, data / "manifest.json", tmp_path / "report.csv", run])
         assert len((tmp_path / "report.csv").read_text().splitlines()) == 44
@@ -607,10 +611,12 @@ class TestColdStart:
             "select = ['select', '--config', sys.argv[1], '--method', 'both', '--cap', '3']",
             "assert statesel.cli.main(select) == 0",
             "assert not scipy_modules(), ('select', scipy_modules())",
+            "assert 'statesel.benchgen' not in sys.modules, 'select'",
             "predict = ['predict', '--model', sys.argv[2], '--data', sys.argv[3], '--manifest', sys.argv[4],",
             "           '--horizon', '40', '--out', sys.argv[5]]",
             "assert statesel.cli.main(predict) == 0",
             "assert not scipy_modules(), ('predict', scipy_modules())",
+            "assert 'statesel.benchgen' not in sys.modules, 'predict'",
         ]
         args = [tmp_path / "run.json", run / "model_rfe_cap3.json", data, data / "manifest.json", tmp_path / "t.csv"]
         self.run_fresh(script, args)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -267,6 +269,31 @@ class TestIngestOracle:
         read_csv_oracle(path, ds.manifest)  # float() takes "1_000"; loadtxt does not
         with pytest.raises(DatasetError, match=r"row 4: not a decimal float in '1_000,"):
             ingest(path, tmp_path / "manifest.json")
+
+
+def test_quoted_line_break_is_a_ragged_row(tmp_path):
+    # csv and loadtxt both let a quoted cell run on to the next line; ingest
+    # reads one sample per line, so the cell's lines are ragged rows
+    ds = small_dataset(n_real=1, steps=6)
+    (path,) = emit(ds, tmp_path)
+    rows = path.read_text().splitlines()
+    head, cell = rows[3].rsplit(",", 1)
+    rows[3:4] = [f'{head},"{cell}', '"']
+    path.write_text("".join(row + "\n" for row in rows))
+    with pytest.raises(DatasetError, match="row 5 has 1 cells, expected 5"):
+        ingest(path, tmp_path / "manifest.json")
+
+
+def test_ingest_holds_the_recording_about_twice(wide_csv):
+    """Every file's parsed rows are held until the dataset stacks them into
+    ``data``: about twice the recording, and no copy of a file's text."""
+    tracemalloc.start()
+    try:
+        ds = ingest(wide_csv, wide_csv / "manifest.json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * ds.data.nbytes, peak / ds.data.nbytes
 
 
 class TestSplit:

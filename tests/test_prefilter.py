@@ -1,4 +1,6 @@
+import importlib
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,10 +16,14 @@ from statesel.prefilter import (
     PrefilterConfig,
     _complete_linkage,
     _unit_rows,
-    correlation,
     prefilter,
     write_report_csv,
 )
+
+from conftest import correlation
+
+# the module, which the package's ``prefilter`` function shadows
+prefilter_module = importlib.import_module("statesel.prefilter")
 
 
 def build_dataset(channels, steps=400, seed=0, dt=0.1):
@@ -339,7 +345,7 @@ class TestRule3Oracle:
         cfg = PrefilterConfig()
         kept = list(prefilter(train, PrefilterConfig(dedupe_enabled=False)).kept)
         report = prefilter(train, cfg)
-        unit = _unit_rows(np.hstack(train.realizations)[kept])
+        unit = _unit_rows(np.hstack(train.realizations), kept)
         corr = np.clip(np.abs(unit @ unit.T), 0.0, 1.0)
         dist = 1.0 - corr
         np.fill_diagonal(dist, 0.0)
@@ -353,3 +359,41 @@ class TestRule3Oracle:
         assert report.kept == tuple(i for i in kept if i not in expected)
         if split_name == "rlc_split":
             assert expected, "the case should exercise a removal"
+
+
+class TestRowBlocks:
+    """Rules 1 to 3 work through blocks of ``ROW_BLOCK`` rows, and hold one
+    unit-row matrix and one Gram matrix beyond their input."""
+
+    @staticmethod
+    def removed_by_rule(report):
+        return {reason: sum(r.reason == reason for r in report.removed)
+                for reason in ("near_constant", "input_collinear", "duplicate")}
+
+    @pytest.mark.parametrize("block", [1, 3, 10**6])
+    @pytest.mark.parametrize("split_name", ["rlc_split", "wide_csv_split"])
+    def test_report_does_not_depend_on_block_size(self, block, split_name, request, monkeypatch, tmp_path):
+        train, _ = request.getfixturevalue(split_name)
+        write_report_csv(prefilter(train), train, tmp_path / "default.csv")
+        monkeypatch.setattr(prefilter_module, "ROW_BLOCK", block)
+        report = prefilter(train)
+        write_report_csv(report, train, tmp_path / "blocked.csv")
+        assert (tmp_path / "blocked.csv").read_bytes() == (tmp_path / "default.csv").read_bytes()
+        if split_name == "wide_csv_split":
+            assert all(self.removed_by_rule(report).values()), "every rule should remove some"
+
+    def test_memory_beyond_the_input(self, wide_csv_split):
+        """The traced peak stays within one (candidates x samples) matrix, one
+        (kept by rule 2)^2 matrix, and a few hundred bytes of bookkeeping per
+        candidate (lists, records and per-candidate vectors)."""
+        train, _ = wide_csv_split
+        tracemalloc.start()
+        try:
+            report = prefilter(train)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        candidates = len(train.candidate_indices)
+        gram = len(report.kept) + self.removed_by_rule(report)["duplicate"]
+        matrices = 8 * (candidates * train.data.shape[1] + gram * gram)
+        assert peak <= matrices + 256 * candidates, peak / matrices

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from statesel.datamodel import ChannelMeta, SplitSpec, TimeSeriesDataset, assemble_snapshots, split
 from statesel.dmdc import fit_output_map, truncated_svd
 from statesel.errors import DegenerateSnapshots, MergedPoolTooLarge
-from statesel.prefilter import correlation, prefilter
+from statesel.prefilter import prefilter
 from statesel.rfe import (
     CrossImport,
     RFEConfig,
@@ -25,7 +25,7 @@ from statesel.rfe import (
 )
 from statesel.selection import SubsetEvaluator, subset_key
 
-from conftest import FIT_TOL, mean_importance_two_fit, simulate_discrete, svd_solve
+from conftest import FIT_TOL, correlation, mean_importance_two_fit, simulate_discrete, svd_solve
 
 # worked two-subsystem example: a high-gain block dominating a low-gain one
 GAIN_DISPARITY_CD = np.array(

@@ -17,9 +17,7 @@ generating matrices and each derived channel's formula.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, replace
-from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -605,7 +603,3 @@ def synth_truth(
         "channel_formulas": formulas,
         "excitations": [[asdict(w) for w in waves] for waves in excitations],
     }
-
-
-def write_truth(doc: dict, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")

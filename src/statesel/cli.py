@@ -10,7 +10,6 @@ output directory so every run is reproducible from its artifacts.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -20,20 +19,21 @@ from pathlib import Path
 import numpy as np
 
 from .cost import rollout_traces
-from .datamodel import SplitSpec, emit, ingest, split
+from .datamodel import SplitSpec, emit, ingest, read_json, split, write_csv, write_json
 from .dmdc import StateSpaceModel, TruncationPolicy, load_model, rollout, save_model
 from .errors import DatasetError
 from .ga import GAConfig, ga_select
 from .prefilter import PrefilterConfig, prefilter, write_report_csv
 from .rfe import RFEConfig, rfe_select
-from .selection import SelectionResult, SubsetEvaluator
+from .selection import SubsetEvaluator
 
 ENV_WORKERS = "STATESEL_WORKERS"
 
 
 @dataclass
 class RunConfig:
-    """Resolved configuration for a selection run."""
+    """Resolved configuration for a selection run; every section the run
+    uses is checked when it is built, before the run reads or writes a file."""
 
     data: str | list[str]
     manifest: str
@@ -55,22 +55,37 @@ class RunConfig:
         caps = self.caps
         if not caps or not all(type(c) is int and c > 0 for c in caps) or len(set(caps)) < len(caps):
             raise ValueError(f"caps must be distinct positive integers, got {caps}")
+        SplitSpec(self.train_fraction)
+        PrefilterConfig(**self.prefilter)
+        TruncationPolicy(**self.truncation)
+        if self.cost.keys() - {"scale_floor"} or not self.cost.get("scale_floor", 1.0) > 0:
+            raise ValueError(f"cost takes one positive scale_floor, got {self.cost}")
+        for cap in caps:
+            for method in self.methods:
+                self.search(method, cap)
 
     @classmethod
     def load(cls, path: str | Path, overrides: dict | None = None) -> "RunConfig":
-        doc = json.loads(Path(path).read_text())
+        doc = read_json(path)
         doc.update({k: v for k, v in (overrides or {}).items() if v is not None})
         return cls(**doc)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
+    @property
+    def methods(self) -> list[str]:
+        return ["rfe", "ga"] if self.method == "both" else [self.method]
+
+    def search(self, method: str, cap: int) -> RFEConfig | GAConfig:
+        """The settings of ``method``'s search at ``cap``."""
+        if method == "rfe":
+            return RFEConfig(max_states=cap, **self.rfe)
+        return GAConfig(max_states=cap, seed=self.seed, **self.ga)
 
 
-def _prepare_out(out: str | Path, overwrite: bool) -> Path:
+def _check_out(out: str | Path, overwrite: bool) -> Path:
+    """The output directory, not yet made; one that holds files needs ``overwrite``."""
     out = Path(out)
     if out.exists() and any(out.iterdir()) and not overwrite:
         raise DatasetError(f"output directory {out} is not empty; pass --overwrite to reuse it")
-    out.mkdir(parents=True, exist_ok=True)
     return out
 
 
@@ -98,7 +113,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
     if args.kind == "rlc" and args.seed is not None:
         raise ValueError("--seed does not apply to rlc: the circuit has no random part")
-    doc = json.loads(Path(args.spec).read_text()) if args.spec else {}
+    doc = read_json(args.spec) if args.spec else {}
     waves = lambda docs: tuple(benchgen.SquareWaveSpec(**w) for w in docs)
     if args.kind == "rlc":
         params = benchgen.RlcParams(**doc.get("params", {}))
@@ -115,49 +130,38 @@ def cmd_generate(args: argparse.Namespace) -> int:
         excitations = tuple(waves(r) for r in doc.get("excitations", ()))
         ds = benchgen.simulate_synth(spec, excitations)
         truth = benchgen.synth_truth(spec, excitations)
-    out = _prepare_out(args.out, args.overwrite)  # only once the spec has simulated
+    out = _check_out(args.out, args.overwrite)  # only once the spec has simulated
     emit(ds, out)
-    benchgen.write_truth(truth, out / "truth.json")
+    write_json(out / "truth.json", truth)
     print(f"wrote {ds.n_realizations} realizations, {ds.n_channels} channels to {out}")
     return 0
 
 
 def cmd_prefilter(args: argparse.Namespace) -> int:
-    train, _ = split(ingest(args.data, args.manifest), SplitSpec(args.train_fraction))
     cfg = PrefilterConfig(**json.loads(args.config)) if args.config else PrefilterConfig()
+    train, _ = split(ingest(args.data, args.manifest), SplitSpec(args.train_fraction))
     report = prefilter(train, cfg)
     write_report_csv(report, train, args.out)
     print(f"kept {len(report.kept)} of {len(train.candidate_indices)} candidates -> {args.out}")
     return 0
 
 
-def _write_cost_row(writer, method: str, cap: int, result: SelectionResult) -> None:
-    writer.writerow(
-        [method, cap, len(result.indices), repr(result.j_train.J), repr(result.j_test.J)]
-    )
-
-
 def _write_trace_csv(path: str | Path, model: StateSpaceModel, rows) -> None:
     """Write ``(realization, predicted, truth)`` blocks, one line per step and
     channel; block rows follow the model's states, then its outputs."""
     names = list(model.state_names) + list(model.output_names)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["realization", "step", "channel", "predicted", "truth"])
-        for r, pred, true in rows:
-            for c, name in enumerate(names):
-                for k in range(pred.shape[1]):
-                    writer.writerow(
-                        [r, k + 1, name, repr(float(pred[c, k])), repr(float(true[c, k]))]
-                    )
+    lines = (
+        (r, k, name, p, t)
+        for r, pred, true in rows
+        for name, p_row, t_row in zip(names, pred, true)
+        # one channel row converted at a time, so no block is held as floats
+        for k, (p, t) in enumerate(zip(p_row.tolist(), t_row.tolist()), start=1)
+    )
+    write_csv(path, ["realization", "step", "channel", "predicted", "truth"], lines)
 
 
 def cmd_select(args: argparse.Namespace) -> int:
-    overrides = {
-        "method": args.method,
-        "seed": args.seed,
-        "out": args.out,
-    }
+    overrides = {"method": args.method, "seed": args.seed, "out": args.out}
     if args.cap:
         try:
             overrides["caps"] = [int(c) for c in args.cap.split(",")]
@@ -165,43 +169,39 @@ def cmd_select(args: argparse.Namespace) -> int:
             raise ValueError(f"--cap must be comma-separated integers, got {args.cap!r}") from None
     cfg = RunConfig.load(args.config, overrides)
     cfg.workers = _resolve_workers(args.workers, cfg.workers)
-    out = _prepare_out(cfg.out, args.overwrite)
-    (out / "config.json").write_text(json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n")
-
+    out = _check_out(cfg.out, args.overwrite)
     # the unsplit recording is freed once split
     train, test = split(ingest(cfg.data, cfg.manifest), SplitSpec(cfg.train_fraction))
     report = prefilter(train, PrefilterConfig(**cfg.prefilter))
-    write_report_csv(report, train, out / "prefilter_report.csv")
     evaluator = SubsetEvaluator(train, TruncationPolicy(**cfg.truncation), **cfg.cost)
 
-    methods = ["rfe", "ga"] if cfg.method == "both" else [cfg.method]
-    with open(out / "cost_table.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method", "cap", "selected_count", "J_train", "J_test"])
+    out.mkdir(parents=True, exist_ok=True)
+    write_json(out / "config.json", asdict(cfg))
+    write_report_csv(report, train, out / "prefilter_report.csv")
+
+    def searches():
+        """Run each search, write its files and yield its cost-table row."""
         for cap in cfg.caps:
-            for method in methods:
-                if method == "rfe":
-                    rcfg = RFEConfig(max_states=cap, **cfg.rfe)
-                    result = rfe_select(evaluator, test, report.kept, rcfg, workers=cfg.workers)
-                else:
-                    gcfg = GAConfig(max_states=cap, seed=cfg.seed, **cfg.ga)
-                    result = ga_select(evaluator, test, report.kept, gcfg, workers=cfg.workers)
-                _write_cost_row(writer, method, cap, result)
+            for method in cfg.methods:
+                select = rfe_select if method == "rfe" else ga_select
+                search = cfg.search(method, cap)
+                result = select(evaluator, test, report.kept, search, workers=cfg.workers)
                 tag = f"{method}_cap{cap}"
                 result.save(out / f"selection_{tag}.json")
                 save_model(result.model, out / f"model_{tag}.json")
                 traces = rollout_traces(result.model, test, result.indices)
                 _write_trace_csv(out / f"trace_{tag}.csv", result.model, traces)
                 if method == "ga":
-                    with open(out / f"ga_trace_cap{cap}.csv", "w", newline="") as gfh:
-                        gw = csv.writer(gfh)
-                        gw.writerow(["generation", "best_J"])
-                        for g, j in enumerate(result.diagnostics["trace"]):
-                            gw.writerow([g, repr(float(j))])
+                    trace = enumerate(result.diagnostics["trace"])
+                    write_csv(out / f"ga_trace_cap{cap}.csv", ["generation", "best_J"], trace)
                 print(
                     f"{method} cap={cap}: selected {len(result.indices)} "
                     f"J_train={result.j_train.J:.6g} J_test={result.j_test.J:.6g}"
                 )
+                yield method, cap, len(result.indices), result.j_train.J, result.j_test.J
+
+    header = ["method", "cap", "selected_count", "J_train", "J_test"]
+    write_csv(out / "cost_table.csv", header, searches())
     return 0
 
 
@@ -236,9 +236,9 @@ def cmd_report(args: argparse.Namespace) -> int:
     table = Path(args.run) / "cost_table.csv"
     if not table.exists():
         raise DatasetError(f"no cost_table.csv under {args.run}")
-    text = table.read_text()
+    text = table.read_text(encoding="utf-8")
     if args.out:
-        Path(args.out).write_text(text)
+        Path(args.out).write_text(text, encoding="utf-8")
     sys.stdout.write(text)
     return 0
 

@@ -13,12 +13,15 @@ realization boundary. ``realizations`` are views of ``data``. Every reader
 slices ``data``: the snapshots of rows ``i`` are ``data[np.ix_(i, pairs)]``
 and ``data[np.ix_(i, pairs + 1)]``.
 
-File formats:
+File formats, decided here alone (UTF-8 text; readers skip a leading BOM):
 
 * data CSV: header row of channel names, one row per time step, one file per
   realization; each cell is a finite decimal float, optionally double-quoted;
-* manifest: JSON document ``{"dt_seconds": float, "channels": [{"name", "role",
-  "subsystem"}, ...]}``.
+* JSON documents (``read_json``, ``write_json``, keys sorted): the manifest
+  ``{"dt_seconds": float, "channels": [{"name", "role", "subsystem"}, ...]}``,
+  a model, a selection, a run's config, a generator spec and its truth;
+* output CSVs (``write_csv``): the data CSVs ``emit`` writes, the prefilter
+  report, the cost table and the traces; a float cell is its ``repr``.
 """
 
 from __future__ import annotations
@@ -26,11 +29,10 @@ from __future__ import annotations
 import csv
 import json
 import math
-import re
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -198,9 +200,30 @@ class SnapshotSet:
         return self.X.shape[1]
 
 
+def read_json(path: str | Path) -> Any:
+    """The JSON document in ``path``; a file that does not parse is named."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8-sig"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise DatasetError(f"{path}: not a JSON document: {exc}") from exc
+
+
+def write_json(path: str | Path, doc: Any) -> None:
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """A header line, then ``rows``; ``csv`` writes a cell as its ``str``,
+    which for a float is the shortest text that reads back to it."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def load_manifest(path: str | Path) -> tuple[float, tuple[ChannelMeta, ...]]:
     """Read a manifest JSON file; returns (dt_seconds, channel metadata)."""
-    doc = json.loads(Path(path).read_text())
+    doc = read_json(path)
     try:
         dt = float(doc["dt_seconds"])
         channels = tuple(
@@ -219,7 +242,7 @@ def save_manifest(path: str | Path, dt: float, manifest: Sequence[ChannelMeta]) 
             {"name": c.name, "role": c.role, "subsystem": c.subsystem} for c in manifest
         ],
     }
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_json(path, doc)
 
 
 def _column_order(path: Path, head: str, manifest: Sequence[ChannelMeta]) -> list[int]:
@@ -244,12 +267,12 @@ def _read_csv_realization(path: Path, manifest: Sequence[ChannelMeta]) -> np.nda
 
     One ``np.loadtxt`` parses the rows straight from the open file, so the
     file's text is never held whole. Its result is returned only when it is
-    what ``_read_csv_lines`` would return: one row per nonblank line (a
+    what ``_scan_csv_lines`` would return: one row per nonblank line (a
     quoted cell can span lines), every row as wide as the header, at least 2
-    rows, all finite. Otherwise ``_read_csv_lines`` reads the file again and
-    names its first defect.
+    rows, all finite. Otherwise ``_scan_csv_lines`` reads the rows again and
+    names the first defect.
     """
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         head = fh.readline()
         if not head:
             raise DatasetError(f"{path}: empty file")
@@ -269,52 +292,45 @@ def _read_csv_realization(path: Path, manifest: Sequence[ChannelMeta]) -> np.nda
                 vals = np.loadtxt(nonblank(), delimiter=",", quotechar='"', comments=None, ndmin=2)
         except ValueError:
             vals = None
-    if vals is None or lines < 2 or vals.shape != (lines, len(order)) or not np.isfinite(vals).all():
-        return _read_csv_lines(path, order, manifest)
+        if vals is None or lines < 2 or vals.shape != (lines, len(order)) or not np.isfinite(vals).all():
+            fh.seek(0)
+            fh.readline()
+            return _scan_csv_lines(path, fh, order, [c.name for c in manifest])
     # a reorder copies the rows, so it is made only for columns out of order
     return (vals if order == sorted(order) else vals[:, order]).T
 
 
-def _read_csv_lines(path: Path, order: list[int], manifest: Sequence[ChannelMeta]) -> np.ndarray:
-    """The rows of a data CSV whose header gave the columns ``order``, read
-    line by line. The rows above the first defect are parsed, so that a
-    non-finite value among them is named before the defect (a ragged row or a
-    cell that is not a decimal float); then fewer than 2 rows is an error."""
-    wanted = [c.name for c in manifest]
-    body = Path(path).read_text().split("\n")[1:]
-    linenos = [n for n, line in enumerate(body, start=2) if line]
-    body = [line for line in body if line]
-    # Parse the rows above the first defect (a ragged row, or a row loadtxt
-    # rejects), so that a non-finite value above it is reported first.
-    commas = len(order) - 1
-    good = next((i for i, line in enumerate(body) if line.count(",") != commas), len(body))
-    vals = np.empty((0, len(order)))
-    while good and not len(vals):
+def _scan_csv_lines(path: Path, fh, order: list[int], wanted: list[str]) -> np.ndarray:
+    """The rows of a data CSV, read from ``fh`` past the header, whose header
+    gave the columns ``order`` of the channels ``wanted``. Each nonblank line
+    in turn must hold as many cells as the header, parse, and be finite; the
+    first that does not is named. Then fewer than 2 rows is an error."""
+    rows = []
+    for lineno, line in enumerate(fh, start=2):
+        line = line.removesuffix("\n")
+        if not line:
+            continue
         try:
-            vals = np.loadtxt(
-                body[:good], delimiter=",", quotechar='"', comments=None, ndmin=2, usecols=order
-            )
-        except ValueError as exc:
-            # loadtxt counts rows from 0 in a conversion error, from 1 in a
-            # missing-column error; good shrinks on every pass, so the loop ends
-            row = int(re.search(r"at row (\d+)", str(exc))[1])
-            good = min(good - 1, row if "convert" in str(exc) else row - 1)
-    if not np.all(np.isfinite(vals)):
-        row, ch = np.argwhere(~np.isfinite(vals))[0]
-        raise DatasetError(f"{path}: row {linenos[row]}: non-finite value in {wanted[ch]!r}")
-    if good < len(body):
-        where = f"{path}: row {linenos[good]}"
-        cells = next(csv.reader([body[good]]))
-        if len(cells) != len(order):
-            raise DatasetError(f"{where} has {len(cells)} cells, expected {len(order)}")
-        try:
-            [float(cells[j]) for j in order]
-        except ValueError as exc:
-            raise DatasetError(f"{where}: {exc}") from exc
-        raise DatasetError(f"{where}: not a decimal float in {body[good]!r}")
-    if len(vals) < 2:
+            if line.count(",") != len(order) - 1:
+                raise ValueError
+            row = np.loadtxt([line], delimiter=",", quotechar='"', comments=None, usecols=order)
+        except ValueError:
+            where = f"{path}: row {lineno}"
+            cells = next(csv.reader([line]))
+            if len(cells) != len(order):
+                raise DatasetError(f"{where} has {len(cells)} cells, expected {len(order)}") from None
+            try:
+                [float(cells[j]) for j in order]
+            except ValueError as exc:
+                raise DatasetError(f"{where}: {exc}") from None
+            raise DatasetError(f"{where}: not a decimal float in {line!r}") from None
+        if not np.isfinite(row).all():
+            ch = np.flatnonzero(~np.isfinite(row))[0]
+            raise DatasetError(f"{path}: row {lineno}: non-finite value in {wanted[ch]!r}")
+        rows.append(row)
+    if len(rows) < 2:
         raise DatasetError(f"{path}: needs at least 2 sample rows")
-    return vals.T
+    return np.array(rows).T
 
 
 def ingest(data: str | Path | Sequence[str | Path], manifest_path: str | Path) -> TimeSeriesDataset:
@@ -347,13 +363,8 @@ def emit(ds: TimeSeriesDataset, out_dir: str | Path, prefix: str = "realization"
     save_manifest(out / "manifest.json", ds.dt, ds.manifest)
     paths = []
     for r, arr in enumerate(ds.realizations):
-        path = out / f"{prefix}_{r:02d}.csv"
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(ds.names)
-            for k in range(arr.shape[1]):
-                writer.writerow([repr(float(v)) for v in arr[:, k]])
-        paths.append(path)
+        paths.append(out / f"{prefix}_{r:02d}.csv")
+        write_csv(paths[-1], ds.names, arr.T.tolist())
     return paths
 
 

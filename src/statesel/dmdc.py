@@ -31,7 +31,6 @@ so fitting and rolling out load no scipy module; only the generators do.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -39,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .datamodel import SnapshotSet, TimeSeriesDataset, assemble_snapshots
+from .datamodel import SnapshotSet, TimeSeriesDataset, assemble_snapshots, read_json, write_json
 from .errors import DatasetError, DegenerateSnapshots
 
 
@@ -383,11 +382,11 @@ def save_model(model: StateSpaceModel, path: str | Path) -> None:
         "Bd": model.Bd.tolist(),
         "Cd": model.Cd.tolist(),
     }
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_json(path, doc)
 
 
 def load_model(path: str | Path) -> StateSpaceModel:
-    doc = json.loads(Path(path).read_text())
+    doc = read_json(path)
     try:
         names = {k: tuple(doc[k]) for k in ("state_names", "input_names", "output_names")}
         return StateSpaceModel(Ad=doc["Ad"], Bd=doc["Bd"], Cd=doc["Cd"], dt=float(doc["dt"]), **names)

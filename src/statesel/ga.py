@@ -74,6 +74,8 @@ class GAConfig:
             raise ValueError("stall_generations must be at least 1")
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must not be negative, got {self.seed}")
 
     def resolve(self, genome: int) -> "_ResolvedGA":
         return _ResolvedGA(
@@ -205,10 +207,8 @@ def ga_select(
     pool = tuple(sorted(set(pool)))
     if not pool:
         raise DatasetError("candidate pool is empty")
-    if workers > 1:
-        evaluator.searched_pool(pool)  # built here, so that restarts in workers inherit it
     fn = partial(_run_restart, pool=pool, cfg=cfg)
-    runs = run_restarts(fn, cfg.restarts, workers, evaluator=evaluator)
+    runs = run_restarts(fn, cfg.restarts, workers, evaluator=evaluator, pool=pool)
     best, trace = min(runs, key=lambda run: run[0])
     restart_js = [key[0] for key, _ in runs]
     diagnostics = {

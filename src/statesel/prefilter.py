@@ -22,14 +22,13 @@ is a block of ``ROW_BLOCK`` rows, or the distances of the rows that can merge.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .datamodel import TimeSeriesDataset
+from .datamodel import TimeSeriesDataset, write_csv
 from .errors import DatasetError
 
 # Rows per block of a row-wise pass (range variance, unit rows, the flags of
@@ -229,18 +228,9 @@ def prefilter(train: TimeSeriesDataset, cfg: PrefilterConfig | None = None) -> P
 def write_report_csv(report: PrefilterReport, train: TimeSeriesDataset, path: str | Path) -> None:
     """Serialize a prefilter outcome as CSV: index, name, decision, reason, evidence."""
     names = train.names
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "name", "decision", "reason", "evidence", "representative"])
-        rows = [(i, "kept", "", "", "") for i in report.kept] + [
-            (
-                r.index,
-                "removed",
-                r.reason,
-                repr(r.evidence),
-                "" if r.representative is None else names[r.representative],
-            )
-            for r in report.removed
-        ]
-        for idx, decision, reason, evidence, rep in sorted(rows, key=lambda t: t[0]):
-            writer.writerow([idx, names[idx], decision, reason, evidence, rep])
+    rows = [(i, names[i], "kept", "", "", "") for i in report.kept]
+    for r in report.removed:
+        rep = "" if r.representative is None else names[r.representative]
+        rows.append((r.index, names[r.index], "removed", r.reason, r.evidence, rep))
+    header = ["index", "name", "decision", "reason", "evidence", "representative"]
+    write_csv(path, header, sorted(rows, key=lambda row: row[0]))

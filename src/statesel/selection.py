@@ -32,7 +32,6 @@ Workers fit and roll out with numpy alone: nothing is imported before a fork.
 
 from __future__ import annotations
 
-import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -43,7 +42,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from .cost import ChannelScales, CostBreakdown, RolloutTruth, pooled_std, rollout_cost
-from .datamodel import TimeSeriesDataset
+from .datamodel import TimeSeriesDataset, write_json
 from .dmdc import PoolReduction, StateSpaceModel, TruncationPolicy, fit_model
 from .errors import DegenerateSnapshots
 
@@ -85,7 +84,7 @@ class SelectionResult:
         }
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
+        write_json(path, self.to_dict())
 
 
 class SubsetEvaluator:
@@ -224,6 +223,18 @@ def _call_in_worker(fn: Callable[..., Any], item: Any) -> Any:
     return fn(item, evaluator=_WORKER_EVAL)
 
 
+def _map_in_workers(
+    fn: Callable[..., Any], items: Sequence[Any], workers: int, evaluator: SubsetEvaluator, pool
+) -> list[Any]:
+    """``fn(item, evaluator=...)`` of each item, in order, in ``workers``
+    forked processes. The reduction of ``pool`` is built first, so every
+    worker fits from the parent's factor; a worker gets ``evaluator`` once,
+    when it starts, with the cache and reductions as they stand."""
+    evaluator.searched_pool(pool)
+    with ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(evaluator,)) as executor:
+        return list(executor.map(partial(_call_in_worker, fn), items))
+
+
 def _breakdowns(
     chunk: list[tuple[int, ...]], pool: tuple[int, ...] | None, *, evaluator: SubsetEvaluator
 ) -> list[CostBreakdown | None]:
@@ -239,10 +250,9 @@ def evaluate_subsets(
     """Score many subsets of ``pool``, optionally across processes.
 
     Workers score only the distinct subsets missing from ``evaluator``'s cache
-    and their breakdowns are stored there. The pool's reduction is built in
-    this process before the workers fork, so every worker fits from the same
-    factor. The returned list is aligned with ``subsets`` regardless of
-    scheduling, so any reduction over it is worker-count independent.
+    and their breakdowns are stored there. The returned list is aligned with
+    ``subsets`` regardless of scheduling, so any reduction over it is
+    worker-count independent.
     """
     pool = evaluator.pool_key(pool)
     todo = []
@@ -250,13 +260,11 @@ def evaluate_subsets(
         keys = dict.fromkeys(tuple(sorted(s)) for s in subsets)
         todo = [k for k in keys if (pool, k) not in evaluator._cache]
     if len(todo) >= 4:
-        evaluator.searched_pool(pool)
         size = math.ceil(len(todo) / (workers * 4))
         chunks = [todo[i : i + size] for i in range(0, len(todo), size)]
-        with ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(evaluator,)) as executor:
-            parts = executor.map(partial(_call_in_worker, partial(_breakdowns, pool=pool)), chunks)
-            for chunk, part in zip(chunks, parts):
-                evaluator._cache.update(((pool, s), b) for s, b in zip(chunk, part))
+        parts = _map_in_workers(partial(_breakdowns, pool=pool), chunks, workers, evaluator, pool)
+        for chunk, part in zip(chunks, parts):
+            evaluator._cache.update(((pool, s), b) for s, b in zip(chunk, part))
     return [evaluator.evaluate(s, pool) for s in subsets]
 
 
@@ -266,15 +274,11 @@ def run_restarts(
     workers: int = 1,
     *,
     evaluator: SubsetEvaluator,
+    pool: Sequence[int] | None = None,
 ) -> list[Any]:
-    """Run independent restarts ``fn(r, evaluator=...)``, preserving restart
-    order.
-
-    A pool worker gets ``evaluator`` once, when it starts (forked, it
-    inherits the cache and reductions as they stand), not with every
-    restart; a restart run there returns only its result.
-    """
+    """Run independent restarts ``fn(r, evaluator=...)`` that search
+    ``pool``, preserving restart order; a restart run in a worker returns
+    only its result."""
     if workers <= 1 or n_restarts <= 1:
         return [fn(r, evaluator=evaluator) for r in range(n_restarts)]
-    with ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(evaluator,)) as executor:
-        return list(executor.map(partial(_call_in_worker, fn), range(n_restarts)))
+    return _map_in_workers(fn, range(n_restarts), workers, evaluator, pool)

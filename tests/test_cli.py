@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import asdict
@@ -14,9 +15,12 @@ from statesel.benchgen import (
     default_decoupled_spec,
     simulate_rlc,
 )
-from statesel.cli import main
-from statesel.datamodel import SplitSpec, emit, ingest, split
-from statesel.dmdc import fit_model, save_model
+from statesel.cli import RunConfig, main
+from statesel.cost import rollout_traces
+from statesel.datamodel import SplitSpec, emit, ingest, load_manifest, split
+from statesel.dmdc import fit_model, load_model, rollout, save_model
+from statesel.errors import DatasetError
+from statesel.prefilter import prefilter
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -397,6 +401,98 @@ class TestCapList:
         assert not (config.parent / "out").exists()
 
 
+class TestSelectChecksFirst:
+    """A setting the run would reject, or an input file it cannot read,
+    fails ``select`` before it makes the output directory."""
+
+    @pytest.fixture(scope="class")
+    def data(self, tmp_path_factory):
+        data = tmp_path_factory.mktemp("checks_first") / "data"
+        write_small_rlc(data)
+        return data
+
+    def select(self, data, tmp_path, edit=None, args=()):
+        cfg = {
+            "data": str(data),
+            "manifest": str(data / "manifest.json"),
+            "out": str(tmp_path / "out"),
+            "caps": [3],
+            "ga": {"population_size": 16, "restarts": 2, "stall_generations": 8, "max_generations": 40},
+        }
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({**cfg, **(edit or {})}))
+        return main(["select", "--config", str(path), *args])
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ({"rfe": {"serach_limit": 30}}, "serach_limit"),
+            ({"ga": {"population_size": 1}}, "population_size must be at least 2"),
+            ({"cost": {"scale_floor": 0}}, "scale_floor"),
+            ({"train_fraction": 1.5}, "train_fraction must be in (0,1), got 1.5"),
+        ],
+        ids=["rfe_key", "ga_population", "scale_floor", "train_fraction"],
+    )
+    def test_bad_setting(self, data, tmp_path, capsys, edit, message):
+        assert self.select(data, tmp_path, edit) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_seed(self, data, tmp_path, capsys):
+        assert self.select(data, tmp_path, args=["--seed", "-1", "--method", "both"]) == 1
+        assert "seed must not be negative, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_truncated_manifest(self, data, tmp_path, capsys):
+        manifest = tmp_path / "manifest.json"
+        text = (data / "manifest.json").read_text(encoding="utf-8")
+        manifest.write_text(text[: len(text) // 2], encoding="utf-8")
+        assert self.select(data, tmp_path, {"manifest": str(manifest)}) == 1
+        assert f"{manifest}: not a JSON document" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_nonempty_output_refused_before_reading(self, tmp_path, capsys):
+        (tmp_path / "out").mkdir()
+        (tmp_path / "out" / "keep.txt").write_text("x")
+        assert self.select(tmp_path / "no_data", tmp_path) == 1
+        assert "is not empty; pass --overwrite" in capsys.readouterr().err
+        assert [p.name for p in (tmp_path / "out").iterdir()] == ["keep.txt"]
+
+
+class TestJsonDocuments:
+    """Every JSON document is read by one reader: a leading byte-order mark
+    is skipped, and a file that does not parse is named."""
+
+    def documents(self, tmp_path):
+        data = tmp_path / "data"
+        ds = write_small_rlc(data)
+        train, _ = split(ds, SplitSpec(0.8))
+        save_model(fit_model(train, [ds.index_of("capacitor.v")]), tmp_path / "model.json")
+        config = {"data": str(data), "manifest": str(data / "manifest.json"), "out": str(tmp_path / "o")}
+        (tmp_path / "run.json").write_text(json.dumps(config))
+        (tmp_path / "spec.json").write_text(json.dumps(small_synth_spec_doc()))
+        return data / "manifest.json", tmp_path / "model.json", tmp_path / "run.json", tmp_path / "spec.json"
+
+    def test_truncated_document_is_named(self, tmp_path, capsys):
+        manifest, model, config, spec = self.documents(tmp_path)
+        for path, read in ((manifest, load_manifest), (model, load_model), (config, RunConfig.load)):
+            text = path.read_text(encoding="utf-8")
+            path.write_text(text[: len(text) // 2], encoding="utf-8")
+            with pytest.raises(DatasetError, match=f"{re.escape(str(path))}: not a JSON document"):
+                read(path)
+        text = spec.read_text(encoding="utf-8")
+        spec.write_text(text[: len(text) // 2], encoding="utf-8")
+        assert main(["generate", "synth", "--spec", str(spec), "--out", str(tmp_path / "gen")]) == 1
+        assert f"{spec}: not a JSON document" in capsys.readouterr().err
+        assert not (tmp_path / "gen").exists()
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        _, _, config, _ = self.documents(tmp_path)
+        marked = tmp_path / "marked.json"
+        marked.write_bytes(b"\xef\xbb\xbf" + config.read_bytes())
+        assert RunConfig.load(marked) == RunConfig.load(config)
+
+
 class TestPredict:
     def test_exact_model_trace(self, tmp_path):
         data = tmp_path / "data"
@@ -526,6 +622,82 @@ class TestPredict:
         assert f"malformed model {model_path}: missing key 'state_names'" in err
 
 
+def assert_written(cells, values):
+    """Each cell reads back with ``float()`` to the value written, as its
+    shortest text."""
+    assert [float(c) for c in cells] == [float(v) for v in values]
+    assert all(repr(float(c)) == c for c in cells)
+
+
+def read_rows(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
+
+
+class TestWrittenFloats:
+    """Every float a CSV writer emits is the value the program computed."""
+
+    @pytest.fixture(scope="class")
+    def split_data(self, synth_run):
+        root, _, _ = synth_run
+        return split(ingest(root / "data", root / "data" / "manifest.json"), SplitSpec(0.8))
+
+    @pytest.mark.parametrize("method", ["rfe", "ga"])
+    def test_select_trace(self, synth_run, split_data, method):
+        root, _, _ = synth_run
+        run = root / "run"
+        indices = json.loads((run / f"selection_{method}_cap3.json").read_text())["indices"]
+        model = load_model(run / f"model_{method}_cap3.json")
+        blocks = rollout_traces(model, split_data[1], indices)
+        rows = read_rows(run / f"trace_{method}_cap3.csv")
+        assert_written([r["predicted"] for r in rows], [v for _, p, _ in blocks for v in p.ravel()])
+        assert_written([r["truth"] for r in rows], [v for _, _, t in blocks for v in t.ravel()])
+
+    def test_ga_trace(self, synth_run):
+        root, _, _ = synth_run
+        doc = json.loads((root / "run" / "selection_ga_cap3.json").read_text())
+        rows = read_rows(root / "run" / "ga_trace_cap3.csv")
+        assert_written([r["best_J"] for r in rows], doc["diagnostics"]["trace"])
+
+    def test_cost_table(self, synth_run):
+        root, _, _ = synth_run
+        rows = read_rows(root / "run" / "cost_table.csv")
+        docs = [json.loads((root / "run" / f"selection_{r['method']}_cap3.json").read_text()) for r in rows]
+        assert_written([r["J_train"] for r in rows], [d["j_train"]["J"] for d in docs])
+        assert_written([r["J_test"] for r in rows], [d["j_test"]["J"] for d in docs])
+
+    def test_prefilter_evidence(self, tmp_path):
+        data = tmp_path / "data"
+        train, _ = split(write_small_rlc(data), SplitSpec(0.8))
+        out = tmp_path / "report.csv"
+        args = ["--data", str(data), "--manifest", str(data / "manifest.json"), "--out", str(out)]
+        assert main(["prefilter", *args]) == 0
+        removed = prefilter(train).removed
+        rows = [r for r in read_rows(out) if r["decision"] == "removed"]
+        assert len(rows) > 30
+        assert [int(r["index"]) for r in rows] == [r.index for r in removed]
+        assert_written([r["evidence"] for r in rows], [r.evidence for r in removed])
+
+    def test_predict_trace(self, synth_run, split_data, tmp_path):
+        root, _, _ = synth_run
+        data, model_path = root / "data", root / "run" / "model_rfe_cap3.json"
+        out = tmp_path / "t.csv"
+        args = ["--data", str(data), "--manifest", str(data / "manifest.json"), "--horizon", "30"]
+        assert main(["predict", "--model", str(model_path), *args, "--out", str(out)]) == 0
+        model, test = load_model(model_path), split_data[1]
+        state = [test.index_of(n) for n in model.state_names]
+        inputs = [test.index_of(n) for n in model.input_names]
+        outputs = [test.index_of(n) for n in model.output_names]
+        predicted, truth = [], []
+        for arr in test.realizations:
+            Xh, Yh = rollout(model, arr[state, 0], arr[inputs, :30])
+            predicted += [*Xh.ravel(), *Yh.ravel()]
+            truth += [*arr[state, 1:31].ravel(), *arr[outputs, 1:31].ravel()]
+        rows = read_rows(out)
+        assert_written([r["predicted"] for r in rows], predicted)
+        assert_written([r["truth"] for r in rows], truth)
+
+
 class TestReportAndPrefilter:
     def test_report_prints_table(self, synth_run, capsys):
         root, _, _ = synth_run
@@ -567,9 +739,9 @@ class TestColdStart:
         "assert 'statesel.benchgen' not in sys.modules, 'import'",
     ]
 
-    def run_fresh(self, lines, args):
+    def run_fresh(self, lines, args, flags=()):
         proc = subprocess.run(
-            [sys.executable, "-c", "\n".join(self.PRELUDE + lines), *map(str, args)],
+            [sys.executable, *flags, "-c", "\n".join(self.PRELUDE + lines), *map(str, args)],
             env={**os.environ, "PYTHONPATH": str(SRC)},
             capture_output=True,
             text=True,
@@ -637,3 +809,34 @@ class TestColdStart:
         ]
         self.run_fresh(script, [rlc, tmp_path / "r", synth, tmp_path / "s"])
         assert (tmp_path / "s" / "truth.json").exists()
+
+    def test_every_text_file_names_its_encoding(self, tmp_path):
+        """With ``EncodingWarning`` an error, a text file opened in the
+        locale's encoding fails the command that opens it."""
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(small_synth_spec_doc()))
+        data, run = tmp_path / "data", tmp_path / "run"
+        cfg = {
+            "data": str(data),
+            "manifest": str(data / "manifest.json"),
+            "out": str(run),
+            "seed": 1,
+            "ga": {"population_size": 16, "restarts": 2, "stall_generations": 8, "max_generations": 40},
+        }
+        (tmp_path / "run.json").write_text(json.dumps(cfg))
+        script = [
+            "spec, data, config, run, trace, table = sys.argv[1:]",
+            "manifest = data + '/manifest.json'",
+            "for command in (",
+            "    ['generate', 'synth', '--spec', spec, '--out', data],",
+            "    ['prefilter', '--data', data, '--manifest', manifest, '--out', trace],",
+            "    ['select', '--config', config, '--method', 'both', '--cap', '3'],",
+            "    ['predict', '--model', run + '/model_rfe_cap3.json', '--data', data,",
+            "     '--manifest', manifest, '--horizon', '20', '--out', trace],",
+            "    ['report', '--run', run, '--out', table],",
+            "):",
+            "    assert statesel.cli.main(command) == 0, command[0]",
+        ]
+        args = [spec, data, tmp_path / "run.json", run, tmp_path / "t.csv", tmp_path / "table.csv"]
+        self.run_fresh(script, args, ["-X", "warn_default_encoding", "-W", "error::EncodingWarning"])
+        assert (tmp_path / "table.csv").read_text().startswith("method,cap")

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -14,6 +15,7 @@ from statesel.datamodel import (
     assemble_snapshots,
     emit,
     ingest,
+    load_manifest,
     save_manifest,
     split,
 )
@@ -125,6 +127,36 @@ class TestIngest:
         path.write_text('{"channels": [{"name": "u", "role": "input"}]}')
         with pytest.raises(DatasetError, match="malformed manifest"):
             ingest(tmp_path, path)
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # spreadsheet "CSV UTF-8" exports and some editors begin a file with one
+        ds = small_dataset()
+        plain, marked = tmp_path / "plain", tmp_path / "marked"
+        emit(ds, plain)
+        for path in [*emit(ds, marked), marked / "manifest.json"]:
+            path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert load_manifest(marked / "manifest.json") == load_manifest(plain / "manifest.json")
+        back = ingest(marked, marked / "manifest.json")
+        assert back.data.tobytes() == ingest(plain, plain / "manifest.json").data.tobytes()
+        assert back.manifest == ds.manifest
+
+    def test_byte_order_mark_keeps_row_numbers(self, tmp_path):
+        ds = small_dataset(n_real=1, steps=10)
+        (path,) = emit(ds, tmp_path)
+        rows = path.read_text(encoding="utf-8").splitlines()
+        rows[4] = "1.0,2.0"
+        path.write_bytes(b"\xef\xbb\xbf" + "\n".join(rows).encode() + b"\n")
+        with pytest.raises(DatasetError, match="row 5 has 2 cells, expected 5"):
+            ingest(path, tmp_path / "manifest.json")
+
+    def test_truncated_manifest_is_named(self, tmp_path):
+        ds = small_dataset()
+        emit(ds, tmp_path)
+        path = tmp_path / "manifest.json"
+        text = path.read_text(encoding="utf-8")
+        path.write_text(text[: len(text) // 2], encoding="utf-8")
+        with pytest.raises(DatasetError, match=f"{re.escape(str(path))}: not a JSON document"):
+            load_manifest(path)
 
 
 # Values whose text a parser can get wrong: signed zero, the subnormal range,

@@ -17,7 +17,7 @@ generating matrices and each derived channel's formula.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -246,6 +246,8 @@ def _cast(doc: dict, **casts) -> dict:
     The spec readers normalize outside JSON this way (lists to tuples,
     integers to floats) and leave absent keys to the field defaults.
     """
+    if not isinstance(doc, dict):
+        raise TypeError(f"expected an object, got {doc!r}")
     return {k: casts[k](v) if k in casts else v for k, v in doc.items()}
 
 
@@ -479,29 +481,6 @@ def default_coupled_spec() -> SynthSystemSpec:
         duration=300.0,
         seed=7,
     )
-
-
-def default_decoupled_spec() -> SynthSystemSpec:
-    """The coupled spec's two blocks without the coupling, with equal gains
-    and the same positive output row.
-
-    Extras are nonlinear (products and squares), so elimination should rank
-    the true states above them within each subsystem.
-    """
-    coupled = default_coupled_spec()
-    blocks = tuple(
-        replace(
-            s,
-            C=((1.0, 0.3),),
-            output_gain=1.0,
-            extras=(
-                ExtraChannel(name=f"{s.name}.prod", kind="product", weights=(0, 1)),
-                ExtraChannel(name=f"{s.name}.sq", kind="square", weights=(0,)),
-            ),
-        )
-        for s in coupled.subsystems
-    )
-    return replace(coupled, subsystems=blocks, couplings=())
 
 
 def default_synth_excitations(

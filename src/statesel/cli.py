@@ -50,6 +50,12 @@ class RunConfig:
     ga: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        for name in ("prefilter", "truncation", "cost", "rfe", "ga"):
+            if not isinstance(getattr(self, name), dict):
+                raise ValueError(f"{name} must be an object, got {getattr(self, name)!r}")
+        data = [self.data] if isinstance(self.data, str) else self.data
+        if not isinstance(data, list) or not all(isinstance(p, str) for p in data):
+            raise ValueError(f"data must be a path or a list of paths, got {self.data!r}")
         if self.method not in ("rfe", "ga", "both"):
             raise ValueError(f"method must be rfe, ga, or both, got {self.method!r}")
         caps = self.caps
@@ -66,9 +72,13 @@ class RunConfig:
 
     @classmethod
     def load(cls, path: str | Path, overrides: dict | None = None) -> "RunConfig":
+        """The config in ``path`` with ``overrides``; an error names the file."""
         doc = read_json(path)
         doc.update({k: v for k, v in (overrides or {}).items() if v is not None})
-        return cls(**doc)
+        try:
+            return cls(**doc)
+        except (TypeError, ValueError) as exc:
+            raise DatasetError(f"{path}: {exc}") from exc
 
     @property
     def methods(self) -> list[str]:
@@ -115,21 +125,26 @@ def cmd_generate(args: argparse.Namespace) -> int:
         raise ValueError("--seed does not apply to rlc: the circuit has no random part")
     doc = read_json(args.spec) if args.spec else {}
     waves = lambda docs: tuple(benchgen.SquareWaveSpec(**w) for w in docs)
-    if args.kind == "rlc":
-        params = benchgen.RlcParams(**doc.get("params", {}))
-        excitations = waves(doc.get("excitations", ()))
-        ds = benchgen.simulate_rlc(params, excitations)
-        truth = benchgen.rlc_truth(params, excitations)
-    else:
-        if args.spec:
-            spec = benchgen.SynthSystemSpec.from_dict(doc.get("spec", doc))
+    try:
+        if args.kind == "rlc":
+            params = benchgen.RlcParams(**doc.get("params", {}))
+            excitations = waves(doc.get("excitations", ()))
+            ds = benchgen.simulate_rlc(params, excitations)
+            truth = benchgen.rlc_truth(params, excitations)
         else:
-            spec = benchgen.default_coupled_spec()
-        if args.seed is not None:
-            spec = replace(spec, seed=args.seed)
-        excitations = tuple(waves(r) for r in doc.get("excitations", ()))
-        ds = benchgen.simulate_synth(spec, excitations)
-        truth = benchgen.synth_truth(spec, excitations)
+            if args.spec:
+                spec = benchgen.SynthSystemSpec.from_dict(doc.get("spec", doc))
+            else:
+                spec = benchgen.default_coupled_spec()
+            if args.seed is not None:
+                spec = replace(spec, seed=args.seed)
+            excitations = tuple(waves(r) for r in doc.get("excitations", ()))
+            ds = benchgen.simulate_synth(spec, excitations)
+            truth = benchgen.synth_truth(spec, excitations)
+    except (TypeError, ValueError) as exc:  # the spec's content does not build a system
+        if not args.spec:
+            raise
+        raise DatasetError(f"{args.spec}: {exc}") from exc
     out = _check_out(args.out, args.overwrite)  # only once the spec has simulated
     emit(ds, out)
     write_json(out / "truth.json", truth)

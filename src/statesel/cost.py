@@ -42,7 +42,7 @@ class ChannelScales:
         object.__setattr__(self, "sigma_y", sy)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CostBreakdown:
     """Total cost with its state and output terms and the sizes they averaged over."""
 

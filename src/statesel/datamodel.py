@@ -17,7 +17,7 @@ File formats, decided here alone (UTF-8 text; readers skip a leading BOM):
 
 * data CSV: header row of channel names, one row per time step, one file per
   realization; each cell is a finite decimal float, optionally double-quoted;
-* JSON documents (``read_json``, ``write_json``, keys sorted): the manifest
+* JSON objects (``read_json``, ``write_json``, keys sorted): the manifest
   ``{"dt_seconds": float, "channels": [{"name", "role", "subsystem"}, ...]}``,
   a model, a selection, a run's config, a generator spec and its truth;
 * output CSVs (``write_csv``): the data CSVs ``emit`` writes, the prefilter
@@ -200,12 +200,15 @@ class SnapshotSet:
         return self.X.shape[1]
 
 
-def read_json(path: str | Path) -> Any:
-    """The JSON document in ``path``; a file that does not parse is named."""
+def read_json(path: str | Path) -> dict:
+    """The JSON object in ``path``; a file that holds none is named."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8-sig"))
+        doc = json.loads(Path(path).read_text(encoding="utf-8-sig"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DatasetError(f"{path}: not a JSON document: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise DatasetError(f"{path}: not a JSON object")
+    return doc
 
 
 def write_json(path: str | Path, doc: Any) -> None:
@@ -269,11 +272,14 @@ def _read_csv_realization(path: Path, manifest: Sequence[ChannelMeta]) -> np.nda
     file's text is never held whole. Its result is returned only when it is
     what ``_scan_csv_lines`` would return: one row per nonblank line (a
     quoted cell can span lines), every row as wide as the header, at least 2
-    rows, all finite. Otherwise ``_scan_csv_lines`` reads the rows again and
-    names the first defect.
+    rows, all finite. Otherwise, or if the text is not UTF-8,
+    ``_scan_csv_lines`` reads the file again and names the first defect.
     """
     with open(path, encoding="utf-8-sig") as fh:
-        head = fh.readline()
+        try:
+            head = fh.readline()
+        except UnicodeDecodeError:  # in the first block of text, decoded with the header
+            return _scan_csv_lines(path, manifest)
         if not head:
             raise DatasetError(f"{path}: empty file")
         order = _column_order(path, head.removesuffix("\n"), manifest)
@@ -290,44 +296,51 @@ def _read_csv_realization(path: Path, manifest: Sequence[ChannelMeta]) -> np.nda
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # loadtxt warns on no rows
                 vals = np.loadtxt(nonblank(), delimiter=",", quotechar='"', comments=None, ndmin=2)
-        except ValueError:
+        except ValueError:  # a decoding error is one too
             vals = None
         if vals is None or lines < 2 or vals.shape != (lines, len(order)) or not np.isfinite(vals).all():
-            fh.seek(0)
-            fh.readline()
-            return _scan_csv_lines(path, fh, order, [c.name for c in manifest])
+            return _scan_csv_lines(path, manifest)
     # a reorder copies the rows, so it is made only for columns out of order
     return (vals if order == sorted(order) else vals[:, order]).T
 
 
-def _scan_csv_lines(path: Path, fh, order: list[int], wanted: list[str]) -> np.ndarray:
-    """The rows of a data CSV, read from ``fh`` past the header, whose header
-    gave the columns ``order`` of the channels ``wanted``. Each nonblank line
-    in turn must hold as many cells as the header, parse, and be finite; the
-    first that does not is named. Then fewer than 2 rows is an error."""
+def _scan_csv_lines(path: Path, manifest: Sequence[ChannelMeta]) -> np.ndarray:
+    """The rows of a data CSV, read line by line. Each line must be UTF-8;
+    past the header, each nonblank line in turn must hold as many cells as
+    the header, parse, and be finite; the first that does not is named. Then
+    fewer than 2 rows is an error."""
     rows = []
-    for lineno, line in enumerate(fh, start=2):
-        line = line.removesuffix("\n")
-        if not line:
-            continue
-        try:
-            if line.count(",") != len(order) - 1:
-                raise ValueError
-            row = np.loadtxt([line], delimiter=",", quotechar='"', comments=None, usecols=order)
-        except ValueError:
-            where = f"{path}: row {lineno}"
-            cells = next(csv.reader([line]))
-            if len(cells) != len(order):
-                raise DatasetError(f"{where} has {len(cells)} cells, expected {len(order)}") from None
+    # a byte that is not UTF-8 reads as a lone surrogate, which no UTF-8 text holds
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.removesuffix("\n")
             try:
-                [float(cells[j]) for j in order]
-            except ValueError as exc:
-                raise DatasetError(f"{where}: {exc}") from None
-            raise DatasetError(f"{where}: not a decimal float in {line!r}") from None
-        if not np.isfinite(row).all():
-            ch = np.flatnonzero(~np.isfinite(row))[0]
-            raise DatasetError(f"{path}: row {lineno}: non-finite value in {wanted[ch]!r}")
-        rows.append(row)
+                line.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                byte = ord(line[exc.start]) - 0xDC00
+                raise DatasetError(f"{path}: row {lineno}: byte {byte:#x} is not UTF-8 text") from None
+            if lineno == 1:
+                order = _column_order(path, line, manifest)
+            if lineno == 1 or not line:
+                continue
+            try:
+                if line.count(",") != len(order) - 1:
+                    raise ValueError
+                row = np.loadtxt([line], delimiter=",", quotechar='"', comments=None, usecols=order)
+            except ValueError:
+                where = f"{path}: row {lineno}"
+                cells = next(csv.reader([line]))
+                if len(cells) != len(order):
+                    raise DatasetError(f"{where} has {len(cells)} cells, expected {len(order)}") from None
+                try:
+                    [float(cells[j]) for j in order]
+                except ValueError as exc:
+                    raise DatasetError(f"{where}: {exc}") from None
+                raise DatasetError(f"{where}: not a decimal float in {line!r}") from None
+            if not np.isfinite(row).all():
+                ch = np.flatnonzero(~np.isfinite(row))[0]
+                raise DatasetError(f"{path}: row {lineno}: non-finite value in {manifest[ch].name!r}")
+            rows.append(row)
     if len(rows) < 2:
         raise DatasetError(f"{path}: needs at least 2 sample rows")
     return np.array(rows).T

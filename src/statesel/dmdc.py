@@ -93,10 +93,6 @@ class StateSpaceModel:
     def n_states(self) -> int:
         return self.Ad.shape[0]
 
-    @property
-    def Dd(self) -> np.ndarray:
-        return np.zeros((self.Cd.shape[0], self.Bd.shape[1]))
-
     @cached_property
     def _schur(self) -> tuple[np.ndarray, np.ndarray]:
         """Real Schur factors ``(T, Q)`` of ``Ad``, computed once per model:
@@ -386,9 +382,15 @@ def save_model(model: StateSpaceModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> StateSpaceModel:
+    """The model ``save_model`` wrote to ``path``; a malformed document is named."""
     doc = read_json(path)
     try:
-        names = {k: tuple(doc[k]) for k in ("state_names", "input_names", "output_names")}
+        names = {k: doc[k] for k in ("state_names", "input_names", "output_names")}
+        if not all(isinstance(v, list) and all(isinstance(n, str) for n in v) for v in names.values()):
+            raise ValueError("channel names must be lists of strings")
+        names = {k: tuple(v) for k, v in names.items()}
         return StateSpaceModel(Ad=doc["Ad"], Bd=doc["Bd"], Cd=doc["Cd"], dt=float(doc["dt"]), **names)
     except KeyError as exc:
         raise DatasetError(f"malformed model {path}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise DatasetError(f"malformed model {path}: {exc}") from exc

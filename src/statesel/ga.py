@@ -40,10 +40,10 @@ from .selection import (
 class GAConfig:
     """GA hyperparameters; defaults follow common binary-GA practice.
 
-    ``None`` values are resolved against the genome length when the search
-    starts: elite count is 5% of the population, mutation rate is
-    ``1/genome`` and the generation cap is ``100 * genome``. Truncation and
-    cost scales come from the ``SubsetEvaluator`` the search is given.
+    ``None`` values are worked out when a restart starts: the elite count is
+    5% of the population, the mutation rate ``1/genome`` and the generation
+    cap ``100 * genome``. Truncation and cost scales come from the
+    ``SubsetEvaluator`` the search is given.
     """
 
     max_states: int
@@ -76,28 +76,6 @@ class GAConfig:
             raise ValueError("restarts must be at least 1")
         if self.seed < 0:
             raise ValueError(f"seed must not be negative, got {self.seed}")
-
-    def resolve(self, genome: int) -> "_ResolvedGA":
-        return _ResolvedGA(
-            elite_count=(
-                self.elite_count
-                if self.elite_count is not None
-                else max(1, round(0.05 * self.population_size))
-            ),
-            mutation_rate=(
-                self.mutation_rate if self.mutation_rate is not None else 1.0 / genome
-            ),
-            max_generations=(
-                self.max_generations if self.max_generations is not None else 100 * genome
-            ),
-        )
-
-
-@dataclass(frozen=True)
-class _ResolvedGA:
-    elite_count: int
-    mutation_rate: float
-    max_generations: int
 
 
 def repair(masks: np.ndarray, cap: int, rng: np.random.Generator) -> np.ndarray:
@@ -143,11 +121,12 @@ def _run_restart(
 ) -> tuple[tuple[float, int, tuple[int, ...]], list[float]]:
     """One seeded GA run; returns the ``subset_key`` of its best subset and the
     best cost after each generation, the initial population's first."""
-    genome = len(pool)
+    genome, size = len(pool), cfg.population_size
     pool_arr = np.array(pool)
-    resolved = cfg.resolve(genome)
+    n_elite = cfg.elite_count if cfg.elite_count is not None else max(1, round(0.05 * size))
+    mutation_rate = cfg.mutation_rate if cfg.mutation_rate is not None else 1.0 / genome
+    max_generations = cfg.max_generations if cfg.max_generations is not None else 100 * genome
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)[restart])
-    size, n_elite = cfg.population_size, resolved.elite_count
     n_offspring = size - n_elite
     n_cross = round(cfg.crossover_fraction * n_offspring)
 
@@ -163,7 +142,7 @@ def _run_restart(
     order, best_key = score(population)
     best_trace = [best_key[0]]
 
-    for gen in range(1, resolved.max_generations + 1):
+    for gen in range(1, max_generations + 1):
         rank = np.argsort(order)
         contest = rng.integers(0, size, size=(2, n_offspring, 2))
         first_wins = rank[contest[..., 0]] <= rank[contest[..., 1]]
@@ -171,7 +150,7 @@ def _run_restart(
         take_first = np.ones((n_offspring, genome), dtype=bool)
         take_first[:n_cross] = rng.random((n_cross, genome)) < 0.5
         children = np.where(take_first, parents[0], parents[1])
-        children ^= rng.random((n_offspring, genome)) < resolved.mutation_rate
+        children ^= rng.random((n_offspring, genome)) < mutation_rate
         population = np.vstack([population[order[:n_elite]], repair(children, cfg.max_states, rng)])
         order, gen_best = score(population)
 

@@ -68,9 +68,6 @@ class PrefilterReport:
     kept: tuple[int, ...]
     removed: tuple[Removal, ...]
 
-    def removed_indices(self) -> tuple[int, ...]:
-        return tuple(r.index for r in self.removed)
-
 
 def _unit_rows(data: np.ndarray, idx: Sequence[int]) -> np.ndarray:
     """Rows ``idx`` of ``data`` centered and scaled to unit norm, so that their

@@ -3,30 +3,32 @@
 Both selection methods score a candidate subset the same way: fit the
 discrete model, roll it out over the training realizations from their true
 initial states, and evaluate the normalized MSE cost. ``SubsetEvaluator``
-wraps that pipeline with a memo cache, so repeated queries cost a single fit.
-One evaluator is built per selection run and holds its training set,
-truncation policy, scale floor and cache; every selector and every cap of the
-run share it.
+wraps that pipeline with a memo of costs, so repeated queries cost a single
+fit. One evaluator is built per selection run and holds its training set,
+truncation policy, scale floor and searched pools; every selector and every
+cap of the run share it.
 
-A selector names the pool it searches (RFE's merged pool, the GA's pool).
-For each such pool of at most ``REDUCED_POOL_MAX`` channels the evaluator
-builds, once, and keeps its ``PoolReduction`` (the triangular factor every
-subset of the pool is fitted from) and its ``RolloutTruth`` (the rows a
-rollout is scored against); subsets of a wider pool, or of no pool, are
-fitted from their own snapshots. A subset is scored by one rollout of all
-its realizations. Fits from different pools agree to round-off, not bit for
-bit, so a cost is cached under the pool it was fitted from and the subset: a
-query reads only a cost fitted from the pool it names, whatever other
-searches ran before it. The winner's reported model and costs come from one
-fit on its own snapshots, whatever pool found it.
+A selector names the pool it searches (RFE's merged pool, the GA's pool),
+and ``searched_pool`` gives the evaluator's record of it, made on first use
+and kept: the pool's ``PoolReduction`` (the triangular factor every subset
+of it is fitted from), its ``RolloutTruth`` (the rows a rollout is scored
+against) and ``costs``, the cost of each subset scored from it, keyed by the
+sorted subset: the caller's own tuple when that is sorted already. Subsets
+of a pool wider than ``REDUCED_POOL_MAX``, or of no pool, are fitted from
+their own snapshots; all of these share one record, without reduction or
+truth. A subset is scored by one rollout of all its realizations. Fits from
+different pools agree to round-off, not bit for bit, so a query reads only
+the costs of the pool it names, whatever other searches ran before it. The
+winner's reported model and costs come from one fit on its own snapshots,
+whatever pool found it.
 
 So a cost is a pure function of (training data, pool, subset,
 configuration): a search's result depends neither on the searches before it
 nor on where its costs were computed, and every (method, cap) result of a
-run is the one that cap alone writes, for any worker count. A pool is built
-in the parent before the workers fork, so every worker fits from the
+run is the one that cap alone writes, for any worker count. A pool's record
+is made in the parent before the workers fork, so every worker fits from the
 parent's factor. ``evaluate_subsets``' workers return breakdowns that land
-in the parent's cache; a GA restart run in a worker returns only its result.
+in the parent's record; a GA restart run in a worker returns only its result.
 Workers fit and roll out with numpy alone: nothing is imported before a fork.
 """
 
@@ -87,6 +89,24 @@ class SelectionResult:
         write_json(path, self.to_dict())
 
 
+@dataclass(slots=True)
+class SearchedPool:
+    """What an evaluator keeps of one searched pool: its reduction and its
+    rollout truth (None if it is not reduced) and the cost of every subset
+    scored from it, keyed by the sorted subset; None marks a degenerate fit."""
+
+    reduction: PoolReduction | None = None
+    truth: RolloutTruth | None = None
+    costs: dict[tuple[int, ...], CostBreakdown | None] = field(default_factory=dict)
+
+
+def _sorted(subset: Sequence[int]) -> tuple[int, ...]:
+    """``subset`` as the key its cost is stored under: the caller's own tuple
+    when it is sorted already, so the cache holds no copy of it."""
+    key = tuple(sorted(subset))
+    return subset if type(subset) is tuple and key == subset else key
+
+
 class SubsetEvaluator:
     """Fit-and-score pipeline for candidate subsets on a fixed training set.
 
@@ -105,33 +125,28 @@ class SubsetEvaluator:
         self.scale_floor = scale_floor
         self.std = pooled_std(train)
         self._sigma_y = np.maximum(self.std[list(train.output_indices)], scale_floor)
-        # (pool key, sorted subset) -> cost of the subset fitted from that pool
-        self._cache: dict[tuple[tuple[int, ...] | None, tuple[int, ...]], CostBreakdown | None] = {}
-        self._named: tuple[tuple[int, ...] | None, tuple[int, ...] | None] = (None, None)
-        self._pools: dict[tuple[int, ...], tuple[PoolReduction, RolloutTruth]] = {}
+        # the sorted pool, or None for no pool or one too wide to reduce -> its record
+        self._pools: dict[tuple[int, ...] | None, SearchedPool] = {None: SearchedPool()}
+        self._named: tuple[tuple[int, ...] | None, SearchedPool | None] = (None, None)
         self.fit_count = 0
 
-    def pool_key(self, pool: Sequence[int] | None) -> tuple[int, ...] | None:
-        """The key a cost fitted from ``pool`` is cached under: the sorted
-        pool if it gets a reduction, else None, as for no pool, since both fit
-        a subset from its own snapshots. The last pool named is remembered, so
-        queries that name their pool by one tuple work its key out once."""
+    def searched_pool(self, pool: Sequence[int] | None) -> SearchedPool:
+        """The record of ``pool``, made on first use and kept; a caller that
+        forks workers asks for it first, so that the workers inherit it. No
+        pool and every pool wider than ``REDUCED_POOL_MAX`` share one record,
+        with neither reduction nor truth. The last pool named is remembered,
+        so queries that name their pool by one tuple sort it once."""
         if pool is None:
-            return None
+            return self._pools[None]
         pool = tuple(pool)  # the same object if ``pool`` is a tuple
         if pool is not self._named[0]:
             key = tuple(sorted(set(pool)))
-            self._named = (pool, key if len(key) <= REDUCED_POOL_MAX else None)
+            key = key if len(key) <= REDUCED_POOL_MAX else None
+            if key not in self._pools:
+                reduction = PoolReduction.of(self.train, key)
+                self._pools[key] = SearchedPool(reduction, RolloutTruth.of(self.train, key))
+            self._named = (pool, self._pools[key])
         return self._named[1]
-
-    def searched_pool(self, pool: Sequence[int] | None) -> tuple[PoolReduction, RolloutTruth] | None:
-        """The reduction and the rollout truth of ``pool``, built on first use
-        and kept; a caller that forks workers builds them first, so that the
-        workers inherit them. None where ``pool_key`` is None."""
-        key = self.pool_key(pool)
-        if key is not None and key not in self._pools:
-            self._pools[key] = (PoolReduction.of(self.train, key), RolloutTruth.of(self.train, key))
-        return None if key is None else self._pools[key]
 
     def scales_for(self, subset: Sequence[int]) -> ChannelScales:
         sigma_x = np.maximum(self.std[list(subset)], self.scale_floor)
@@ -142,28 +157,25 @@ class SubsetEvaluator:
         superset of it), or of ``subset`` itself by default or when ``pool``
         is not reduced."""
         self.fit_count += 1
-        reduced = self.searched_pool(pool)
-        return fit_model(self.train, list(subset), self.policy, reduced[0] if reduced else None)
+        return fit_model(self.train, list(subset), self.policy, self.searched_pool(pool).reduction)
 
     def breakdown(
         self, subset: Sequence[int], pool: Sequence[int] | None = None
     ) -> CostBreakdown | None:
         """Training cost of ``subset`` fitted as ``fit`` does, or None if the
-        fit is degenerate. Memoized by (pool key, subset): a query that names
+        fit is degenerate. Memoized in ``pool``'s record: a query that names
         another pool never reads this cost."""
-        pool = self.pool_key(pool)
-        key = tuple(sorted(subset))
-        if (pool, key) in self._cache:
-            return self._cache[pool, key]
-        reduced = self.searched_pool(pool)
-        data = reduced[1] if reduced else self.train
+        record = self.searched_pool(pool)
+        key = _sorted(subset)
+        if key in record.costs:
+            return record.costs[key]
         try:
-            result = rollout_cost(self.fit(key, pool), data, key, self.scales_for(key))
+            result = rollout_cost(self.fit(key, pool), record.truth or self.train, key, self.scales_for(key))
             if not math.isfinite(result.J):
                 result = None
         except DegenerateSnapshots:
             result = None
-        self._cache[pool, key] = result
+        record.costs[key] = result
         return result
 
     def evaluate(self, subset: Sequence[int], pool: Sequence[int] | None = None) -> float:
@@ -227,9 +239,9 @@ def _map_in_workers(
     fn: Callable[..., Any], items: Sequence[Any], workers: int, evaluator: SubsetEvaluator, pool
 ) -> list[Any]:
     """``fn(item, evaluator=...)`` of each item, in order, in ``workers``
-    forked processes. The reduction of ``pool`` is built first, so every
+    forked processes. The record of ``pool`` is made first, so every
     worker fits from the parent's factor; a worker gets ``evaluator`` once,
-    when it starts, with the cache and reductions as they stand."""
+    when it starts, with its pools' records as they stand."""
     evaluator.searched_pool(pool)
     with ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(evaluator,)) as executor:
         return list(executor.map(partial(_call_in_worker, fn), items))
@@ -249,22 +261,23 @@ def evaluate_subsets(
 ) -> list[float]:
     """Score many subsets of ``pool``, optionally across processes.
 
-    Workers score only the distinct subsets missing from ``evaluator``'s cache
-    and their breakdowns are stored there. The returned list is aligned with
-    ``subsets`` regardless of scheduling, so any reduction over it is
-    worker-count independent.
+    Workers score only the distinct subsets missing from the costs of
+    ``pool``'s record, and their breakdowns are stored there. The returned
+    list is aligned with ``subsets`` regardless of scheduling, so any
+    reduction over it is worker-count independent.
     """
-    pool = evaluator.pool_key(pool)
+    # one tuple for every query, so each finds the pool's record without sorting it
+    pool = None if pool is None else tuple(pool)
+    record = evaluator.searched_pool(pool)
     todo = []
     if workers > 1:
-        keys = dict.fromkeys(tuple(sorted(s)) for s in subsets)
-        todo = [k for k in keys if (pool, k) not in evaluator._cache]
+        todo = [k for k in dict.fromkeys(map(_sorted, subsets)) if k not in record.costs]
     if len(todo) >= 4:
         size = math.ceil(len(todo) / (workers * 4))
         chunks = [todo[i : i + size] for i in range(0, len(todo), size)]
         parts = _map_in_workers(partial(_breakdowns, pool=pool), chunks, workers, evaluator, pool)
         for chunk, part in zip(chunks, parts):
-            evaluator._cache.update(((pool, s), b) for s, b in zip(chunk, part))
+            record.costs.update(zip(chunk, part))
     return [evaluator.evaluate(s, pool) for s in subsets]
 
 

@@ -1,5 +1,6 @@
 import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from statesel.benchgen import (
     SubsystemSpec,
     SynthSystemSpec,
     default_coupled_spec,
-    default_decoupled_spec,
     simulate_rlc,
     simulate_synth,
 )
@@ -28,6 +28,29 @@ from statesel.dmdc import TruncationPolicy, c2d_zoh, fit_dynamics, fit_output_ma
 from statesel.errors import DatasetError, DegenerateSnapshots, DuplicateChannel
 from statesel.prefilter import prefilter
 from statesel.rfe import importance
+
+
+def default_decoupled_spec() -> SynthSystemSpec:
+    """The coupled spec's two blocks without the coupling, with equal gains
+    and the same positive output row.
+
+    Extras are nonlinear (products and squares), so elimination should rank
+    the true states above them within each subsystem.
+    """
+    coupled = default_coupled_spec()
+    blocks = tuple(
+        replace(
+            s,
+            C=((1.0, 0.3),),
+            output_gain=1.0,
+            extras=(
+                ExtraChannel(name=f"{s.name}.prod", kind="product", weights=(0, 1)),
+                ExtraChannel(name=f"{s.name}.sq", kind="square", weights=(0,)),
+            ),
+        )
+        for s in coupled.subsystems
+    )
+    return replace(coupled, subsystems=blocks, couplings=())
 
 
 @pytest.fixture(scope="session")

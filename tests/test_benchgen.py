@@ -11,7 +11,6 @@ from statesel.benchgen import (
     SubsystemSpec,
     SynthSystemSpec,
     default_coupled_spec,
-    default_decoupled_spec,
     default_rlc_excitations,
     rlc_truth,
     simulate_rlc,
@@ -22,7 +21,7 @@ from statesel.benchgen import (
 from statesel.datamodel import assemble_snapshots
 from statesel.dmdc import c2d_zoh, fit_dynamics, fit_output_map
 
-from conftest import correlation
+from conftest import correlation, default_decoupled_spec
 
 
 class TestSquareWave:

@@ -12,7 +12,6 @@ import pytest
 from statesel.benchgen import (
     RlcParams,
     SquareWaveSpec,
-    default_decoupled_spec,
     simulate_rlc,
 )
 from statesel.cli import RunConfig, main
@@ -21,6 +20,8 @@ from statesel.datamodel import SplitSpec, emit, ingest, load_manifest, split
 from statesel.dmdc import fit_model, load_model, rollout, save_model
 from statesel.errors import DatasetError
 from statesel.prefilter import prefilter
+
+from conftest import default_decoupled_spec
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -484,6 +485,48 @@ class TestJsonDocuments:
         spec.write_text(text[: len(text) // 2], encoding="utf-8")
         assert main(["generate", "synth", "--spec", str(spec), "--out", str(tmp_path / "gen")]) == 1
         assert f"{spec}: not a JSON document" in capsys.readouterr().err
+        assert not (tmp_path / "gen").exists()
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda doc: [1, 2],
+            lambda doc: {**doc, "rfe": 5},
+            lambda doc: {**doc, "data": 5},
+            lambda doc: {**doc, "ga": {"population_size": "480"}},
+            lambda doc: {**doc, "train_fraction": "0.8"},
+        ],
+        ids=["not_an_object", "section", "data", "ga_setting", "train_fraction"],
+    )
+    def test_malformed_config_is_named(self, tmp_path, capsys, edit):
+        _, _, config, _ = self.documents(tmp_path)
+        config.write_text(json.dumps(edit(json.loads(config.read_text()))))
+        assert main(["select", "--config", str(config), "--method", "both", "--cap", "1"]) == 1
+        assert f"error: {config}: " in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda doc: {**doc, "Ad": "x"}, lambda doc: {**doc, "state_names": "capacitor.v"}, lambda doc: [1]],
+        ids=["matrix", "names", "not_an_object"],
+    )
+    def test_malformed_model_is_named(self, tmp_path, edit):
+        _, model, _, _ = self.documents(tmp_path)
+        model.write_text(json.dumps(edit(json.loads(model.read_text()))))
+        with pytest.raises(DatasetError, match=re.escape(str(model))):
+            load_model(model)
+
+    @pytest.mark.parametrize(
+        "kind, doc",
+        [("synth", [1]), ("rlc", {"params": {"R": "x"}}), ("synth", {"spec": {"subsystems": 5}}),
+         ("synth", {"spec": {"subsystems": [5]}})],
+        ids=["not_an_object", "rlc_param", "subsystems", "subsystem"],
+    )
+    def test_malformed_spec_is_named(self, tmp_path, capsys, kind, doc):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc))
+        assert main(["generate", kind, "--spec", str(spec), "--out", str(tmp_path / "gen")]) == 1
+        assert f"error: {spec}: " in capsys.readouterr().err
         assert not (tmp_path / "gen").exists()
 
     def test_byte_order_mark_is_skipped(self, tmp_path):

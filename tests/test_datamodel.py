@@ -149,6 +149,19 @@ class TestIngest:
         with pytest.raises(DatasetError, match="row 5 has 2 cells, expected 5"):
             ingest(path, tmp_path / "manifest.json")
 
+    @pytest.mark.parametrize("row", [0, 4, 2500])
+    def test_text_that_is_not_utf8_is_named_with_its_row(self, tmp_path, row):
+        # a Latin-1 degree sign, in the header, in a data row, and past the
+        # first block of text a reader decodes at once
+        ds = small_dataset(n_real=1, steps=3000)
+        (path,) = emit(ds, tmp_path)
+        rows = path.read_bytes().split(b"\n")
+        rows[row] = rows[row][:2] + b"\xb0" + rows[row][2:]
+        path.write_bytes(b"\n".join(rows))
+        message = f"{re.escape(str(path))}: row {row + 1}: byte 0xb0 is not UTF-8"
+        with pytest.raises(DatasetError, match=message):
+            ingest(path, tmp_path / "manifest.json")
+
     def test_truncated_manifest_is_named(self, tmp_path):
         ds = small_dataset()
         emit(ds, tmp_path)

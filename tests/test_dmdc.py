@@ -649,4 +649,6 @@ def test_fit_model_binds_names(rlc_split, rlc_dataset):
     assert model.input_names == ("source.v",)
     assert model.output_names == ("monitor.v_C", "monitor.v_R")
     assert model.dt == rlc_dataset.dt
-    assert np.all(model.Dd == 0)
+    # no feedthrough: the outputs are Cd times the states, whatever the inputs
+    Xh, Yh = rollout(model, np.zeros(2), np.ones((1, 5)))
+    assert np.array_equal(Yh, model.Cd @ Xh)

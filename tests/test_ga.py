@@ -1,3 +1,4 @@
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -163,7 +164,7 @@ class TestScoring:
     def test_never_feasible_restart_stalls(self):
         ev = CountingEvaluator(cost=lambda s: float("inf"))
         cfg = GAConfig(max_states=2, population_size=20, restarts=2, seed=5, stall_generations=10)
-        assert cfg.resolve(4).max_generations == 400
+        assert cfg.max_generations is None  # so the cap is 400 generations, far past the stall
         _, trace = ga._run_restart(0, (0, 1, 2, 3), cfg, ev)
         assert trace == [float("inf")] * (cfg.stall_generations + 1)  # the initial best, then 10
         with pytest.raises(DegenerateSnapshots):
@@ -276,13 +277,32 @@ class TestGaSelect:
 
 
 class TestGAConfig:
-    def test_resolution_rules(self):
-        cfg = GAConfig(max_states=4)
-        r = cfg.resolve(genome=545)
+    def test_resolution_rules(self, monkeypatch):
+        """Left unset, the elite count is 5% of the population, the mutation
+        rate 1/genome and the generation cap 100 * genome: a restart runs as
+        it does with those values set, and not as with others."""
+        populations = []
+        fitness_of = ga._fitness
+
+        def recorded(population, pool_arr, evaluator):
+            populations.append(population.tobytes())
+            return fitness_of(population, pool_arr, evaluator)
+
+        monkeypatch.setattr(ga, "_fitness", recorded)
+
+        def run(cfg, pool=tuple(range(40))):
+            populations.clear()
+            _, trace = ga._run_restart(0, pool, cfg, CountingEvaluator())
+            return trace, list(populations)
+
+        cfg = GAConfig(max_states=4, restarts=1, max_generations=5)
         assert cfg.population_size == 480
-        assert r.elite_count == 24
-        assert r.max_generations == 54500
-        assert r.mutation_rate == pytest.approx(1 / 545)
+        assert run(cfg) == run(replace(cfg, elite_count=24, mutation_rate=1 / 40))
+        assert run(cfg) != run(replace(cfg, elite_count=23))
+        assert run(cfg) != run(replace(cfg, mutation_rate=1 / 41))
+        # never stalled, a restart over 4 candidates stops after generation 400
+        endless = GAConfig(max_states=2, population_size=8, restarts=1, stall_generations=1000)
+        assert len(run(endless, (0, 1, 2, 3))[0]) == 401
 
     def test_validation(self):
         with pytest.raises(ValueError):

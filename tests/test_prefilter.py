@@ -141,7 +141,7 @@ class TestRules:
     def test_partition_is_complete(self, rlc_split):
         train, _ = rlc_split
         report = prefilter(train)
-        all_idx = set(report.kept) | set(report.removed_indices())
+        all_idx = set(report.kept) | {r.index for r in report.removed}
         assert all_idx == set(train.candidate_indices)
         assert len(report.kept) + len(report.removed) == len(train.candidate_indices)
 

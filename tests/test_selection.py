@@ -1,11 +1,13 @@
 """One ``SubsetEvaluator`` shared by the selectors and the worker pool."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 
 from statesel import dmdc, selection
+from statesel.cost import CostBreakdown
 from statesel.datamodel import ChannelMeta, TimeSeriesDataset
 from statesel.dmdc import StateSpaceModel
 from statesel.ga import GAConfig, ga_select
@@ -51,7 +53,8 @@ def test_a_later_search_reads_only_its_own_pools_costs(coupled_split, coupled_ke
         ev = SubsetEvaluator(train)
         ga_select(ev, test, coupled_kept, small_ga(), workers=workers)
         assert later(ev).to_dict() == alone
-        assert ev.pool_key(coupled_kept[:5]) in {pool for pool, _ in ev._cache}
+        assert ev.searched_pool(coupled_kept[:5]) is not ev.searched_pool(coupled_kept)
+        assert ev.searched_pool(coupled_kept[:5]).costs
 
 
 def test_costs_are_cached_per_pool(coupled_split, coupled_kept):
@@ -62,9 +65,10 @@ def test_costs_are_cached_per_pool(coupled_split, coupled_kept):
     js = [ev.evaluate(subset, pool) for pool in pools]
     assert ev.fit_count == 3  # one fit per pool: no query read another pool's cost
     assert js == [SubsetEvaluator(train).evaluate(subset, pool) for pool in pools]
-    # the same pool named in another order, or by its key, reads the cached cost
+    assert [len(ev.searched_pool(pool).costs) for pool in pools] == [1, 1, 1]
+    # the same pool named in another order, or as a sorted tuple, reads the cached cost
     assert ev.evaluate(subset[::-1], list(pools[0][::-1])) == js[0]
-    assert ev.evaluate(subset, ev.pool_key(pools[1])) == js[1]
+    assert ev.evaluate(subset, tuple(sorted(pools[1]))) == js[1]
     assert ev.fit_count == 3
 
 
@@ -88,7 +92,8 @@ def test_pool_workers_fit_from_the_parents_factor(coupled_split, coupled_kept, m
     subsets = enumerate_subsets(pool, 2)
     serial = evaluate_subsets(subsets, SubsetEvaluator(train), pool=pool)
     ev = SubsetEvaluator(train)
-    ev.searched_pool(pool)
+    record = ev.searched_pool(pool)
+    assert record.reduction is not None and record.truth is not None
 
     def no_factor(*args, **kwargs):
         raise AssertionError("a pool was factored again")
@@ -96,6 +101,8 @@ def test_pool_workers_fit_from_the_parents_factor(coupled_split, coupled_kept, m
     monkeypatch.setattr(dmdc, "triangular_factor", no_factor)
     assert evaluate_subsets(subsets, ev, workers=2, pool=pool) == serial
     assert ev.fit_count == 0
+    # the workers' breakdowns land in the record the parent factored
+    assert ev.searched_pool(pool) is record and set(record.costs) == set(subsets)
 
 
 def test_wide_pools_are_not_reduced(coupled_split, coupled_kept, monkeypatch):
@@ -105,12 +112,22 @@ def test_wide_pools_are_not_reduced(coupled_split, coupled_kept, monkeypatch):
     pool = coupled_kept[:6]
     monkeypatch.setattr(selection, "REDUCED_POOL_MAX", len(pool) - 1)
     ev = SubsetEvaluator(train)
-    assert ev.searched_pool(pool) is None
     subsets = enumerate_subsets(pool, 2)
     alone = SubsetEvaluator(train)
-    assert evaluate_subsets(subsets, ev, pool=pool) == [alone.evaluate(s) for s in subsets]
-    assert not ev._pools
-    assert ev.searched_pool(pool[:-1]) is not None
+
+    class NoReduction:
+        @staticmethod
+        def of(*args):
+            raise AssertionError("a wide pool was reduced")
+
+    with monkeypatch.context() as m:
+        m.setattr(selection, "PoolReduction", NoReduction)
+        wide = ev.searched_pool(pool)
+        assert evaluate_subsets(subsets, ev, pool=pool) == [alone.evaluate(s) for s in subsets]
+    # the wide pool shares the record of no pool, so its costs are those of no pool
+    assert wide is ev.searched_pool(None)
+    assert wide.reduction is None and wide.truth is None and set(wide.costs) == set(subsets)
+    assert ev.searched_pool(pool[:-1]).reduction is not None
 
 
 def test_cached_subsets_start_no_pool(coupled_split, coupled_kept, monkeypatch):
@@ -174,3 +191,54 @@ def test_overflow_in_one_realization_scores_as_diverged(monkeypatch):
         warnings.simplefilter("error")
         assert ev.breakdown([2], pool=[2]) is None
     assert ev.evaluate([2]) == math.inf
+
+
+def test_a_cost_is_stored_under_the_callers_sorted_tuple(coupled_split, coupled_kept):
+    """A sorted tuple is the key itself, serial or from workers; any other
+    query is stored under a sorted copy."""
+    train, _ = coupled_split
+    pool = tuple(coupled_kept[:6])
+    subsets = enumerate_subsets(pool, 2)
+    for workers in (1, 2):
+        ev = SubsetEvaluator(train)
+        evaluate_subsets(subsets, ev, workers=workers, pool=pool)
+        stored = {key: key for key in ev.searched_pool(pool).costs}
+        assert all(stored[s] is s for s in subsets)
+    unsorted = (pool[3], pool[0], pool[1])
+    ev.evaluate(unsorted, pool)
+    ev.evaluate(list(pool[3:]), pool)
+    stored = {key: key for key in ev.searched_pool(pool).costs}
+    assert stored[tuple(sorted(unsorted))] is not unsorted
+    assert type(stored[pool[3:]]) is tuple
+
+
+def test_a_cached_cost_holds_no_copy_of_its_pool_or_subset(monkeypatch):
+    """Scoring 4 047 distinct subsets of an 18-channel pool, with the fit and
+    the rollout stubbed, leaves at most 250 bytes per cached cost: the cost
+    and its dict slot, but no copy of the pool or of the caller's subset."""
+    manifest = tuple(
+        ChannelMeta(f"c{j}", ("input", "output")[j] if j < 2 else "candidate") for j in range(20)
+    )
+    rng = np.random.default_rng(0)
+    ev = SubsetEvaluator(TimeSeriesDataset(0.1, (rng.standard_normal((20, 60)),), manifest))
+    pool = tuple(range(2, 20))
+    subsets = enumerate_subsets(pool, 4)
+    assert len(subsets) == 4047
+    monkeypatch.setattr(ev, "fit", lambda subset, pool=None: None)
+    monkeypatch.setattr(
+        selection,
+        "rollout_cost",
+        lambda model, data, subset, scales: CostBreakdown(
+            J=len(subset) / 7, J_state=len(subset) / 11, J_output=len(subset) / 13, n=len(subset), p=1, L=59
+        ),
+    )
+    ev.evaluate(subsets[0], pool)  # the pool's reduction, made once
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for s in subsets[1:]:
+            ev.evaluate(s, pool)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held / (len(subsets) - 1) < 250

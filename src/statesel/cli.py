@@ -13,14 +13,14 @@ import argparse
 import json
 import os
 import sys
+import types
+import typing
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
-import numpy as np
-
 from .cost import rollout_traces
 from .datamodel import SplitSpec, emit, ingest, read_json, split, write_csv, write_json
-from .dmdc import StateSpaceModel, TruncationPolicy, load_model, rollout, save_model
+from .dmdc import StateSpaceModel, TruncationPolicy, load_model, save_model
 from .errors import DatasetError
 from .ga import GAConfig, ga_select
 from .prefilter import PrefilterConfig, prefilter, write_report_csv
@@ -50,25 +50,23 @@ class RunConfig:
     ga: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for name in ("prefilter", "truncation", "cost", "rfe", "ga"):
-            if not isinstance(getattr(self, name), dict):
-                raise ValueError(f"{name} must be an object, got {getattr(self, name)!r}")
+        _check_types(self)
         data = [self.data] if isinstance(self.data, str) else self.data
-        if not isinstance(data, list) or not all(isinstance(p, str) for p in data):
-            raise ValueError(f"data must be a path or a list of paths, got {self.data!r}")
+        if not data or not all(isinstance(p, str) for p in data):
+            raise ValueError(f"data must be a path or a nonempty list of paths, got {self.data!r}")
         if self.method not in ("rfe", "ga", "both"):
             raise ValueError(f"method must be rfe, ga, or both, got {self.method!r}")
         caps = self.caps
         if not caps or not all(type(c) is int and c > 0 for c in caps) or len(set(caps)) < len(caps):
             raise ValueError(f"caps must be distinct positive integers, got {caps}")
         SplitSpec(self.train_fraction)
-        PrefilterConfig(**self.prefilter)
-        TruncationPolicy(**self.truncation)
+        _check_types(PrefilterConfig(**self.prefilter))
+        _check_types(TruncationPolicy(**self.truncation))
         if self.cost.keys() - {"scale_floor"} or not self.cost.get("scale_floor", 1.0) > 0:
             raise ValueError(f"cost takes one positive scale_floor, got {self.cost}")
         for cap in caps:
             for method in self.methods:
-                self.search(method, cap)
+                _check_types(self.search(method, cap))
 
     @classmethod
     def load(cls, path: str | Path, overrides: dict | None = None) -> "RunConfig":
@@ -89,6 +87,17 @@ class RunConfig:
         if method == "rfe":
             return RFEConfig(max_states=cap, **self.rfe)
         return GAConfig(max_states=cap, seed=self.seed, **self.ga)
+
+
+def _check_types(cfg) -> None:
+    """Refuse a field of the dataclass ``cfg`` not of its declared type; an
+    integer passes for a float, a boolean for no number."""
+    for name, hint in typing.get_type_hints(type(cfg)).items():
+        union = typing.get_args(hint) if isinstance(hint, types.UnionType) else (hint,)
+        allowed = tuple(typing.get_origin(t) or t for t in union) + ((int,) if float in union else ())
+        value = getattr(cfg, name)
+        if not isinstance(value, allowed) or isinstance(value, bool) and bool not in allowed:
+            raise ValueError(f"{name} must be {' or '.join(t.__name__ for t in allowed)}, got {value!r}")
 
 
 def _check_out(out: str | Path, overwrite: bool) -> Path:
@@ -202,10 +211,9 @@ def cmd_select(args: argparse.Namespace) -> int:
                 search = cfg.search(method, cap)
                 result = select(evaluator, test, report.kept, search, workers=cfg.workers)
                 tag = f"{method}_cap{cap}"
-                result.save(out / f"selection_{tag}.json")
+                write_json(out / f"selection_{tag}.json", result.to_dict())
                 save_model(result.model, out / f"model_{tag}.json")
-                traces = rollout_traces(result.model, test, result.indices)
-                _write_trace_csv(out / f"trace_{tag}.csv", result.model, traces)
+                _write_trace_csv(out / f"trace_{tag}.csv", result.model, rollout_traces(result.model, test))
                 if method == "ga":
                     trace = enumerate(result.diagnostics["trace"])
                     write_csv(out / f"ga_trace_cap{cap}.csv", ["generation", "best_J"], trace)
@@ -224,25 +232,12 @@ def cmd_predict(args: argparse.Namespace) -> int:
     if args.horizon < 0:
         raise ValueError(f"--horizon must not be negative, got {args.horizon}")
     model = load_model(args.model)
-    ds = ingest(args.data, args.manifest)
-    if ds.dt != model.dt:
-        raise DatasetError(f"the model's dt is {model.dt} s but the dataset's is {ds.dt} s")
-    try:
-        state_idx = [ds.index_of(n) for n in model.state_names]
-        in_idx = [ds.index_of(n) for n in model.input_names]
-        out_idx = [ds.index_of(n) for n in model.output_names]
-    except DatasetError as exc:
-        raise DatasetError(f"model channels missing from dataset: {exc}") from exc
-    _, test = split(ds, SplitSpec(args.train_fraction))
-    rows = []
-    for r, arr in enumerate(test.realizations):
-        horizon = min(args.horizon, arr.shape[1] - 1)
-        if horizon < 1:
-            continue
-        Xh, Yh = rollout(model, arr[state_idx, 0], arr[in_idx, :horizon])
-        true = np.vstack([arr[state_idx, 1 : horizon + 1], arr[out_idx, 1 : horizon + 1]])
-        rows.append((r, np.vstack([Xh, Yh]), true))
-    _write_trace_csv(args.out, model, rows)
+    _, test = split(ingest(args.data, args.manifest), SplitSpec(args.train_fraction))
+    if test.dt != model.dt:
+        raise DatasetError(f"{args.model}: the model's dt is {model.dt} s but the dataset's is {test.dt} s")
+    # the first steps of select's trace: a step's prediction reads no later step
+    traces = [(r, p[:, : args.horizon], t[:, : args.horizon]) for r, p, t in rollout_traces(model, test)]
+    _write_trace_csv(args.out, model, traces)
     print(f"wrote prediction trace to {args.out}")
     return 0
 

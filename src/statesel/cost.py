@@ -93,12 +93,13 @@ def cost(
 @dataclass(frozen=True)
 class RolloutTruth:
     """What an open-loop rollout of the states ``channels`` over a dataset is
-    scored against, stacked once for any subset of them.
+    scored against, stacked once for any subset of them; no other code slices
+    a recording for a rollout.
 
     Realizations lie side by side, each from its column in ``starts``. ``x0``
     holds each realization's initial states, one column each; ``V`` the
     inputs that drive steps ``1..l-1``; ``Xp`` and ``Yp`` the recorded states
-    and outputs at those steps.
+    and outputs at those steps. ``roles`` may name other (inputs, outputs).
     """
 
     channels: tuple[int, ...]
@@ -109,30 +110,36 @@ class RolloutTruth:
     starts: tuple[int, ...]
 
     @classmethod
-    def of(cls, ds: TimeSeriesDataset, state_idx: Sequence[int]) -> "RolloutTruth":
+    def of(cls, ds: TimeSeriesDataset, state_idx: Sequence[int], roles=None) -> "RolloutTruth":
         idx, data, k = list(state_idx), ds.data, ds.pairs
+        inputs, outputs = roles or (ds.input_indices, ds.output_indices)
         return cls(
             channels=tuple(idx),
             x0=data[np.ix_(idx, ds.starts)],
-            V=data[np.ix_(ds.input_indices, k)],
+            V=data[np.ix_(inputs, k)],
             Xp=data[np.ix_(idx, k + 1)],
-            Yp=data[np.ix_(ds.output_indices, k + 1)],
+            Yp=data[np.ix_(outputs, k + 1)],
             # realization r has lost one column to each realization before it
             starts=tuple((ds.starts - np.arange(len(ds.starts))).tolist()),
         )
 
 
 def rollout_traces(
-    model: StateSpaceModel, ds: TimeSeriesDataset, state_idx: Sequence[int]
+    model: StateSpaceModel, ds: TimeSeriesDataset
 ) -> list[tuple[int, np.ndarray, np.ndarray]]:
     """Per-realization ``(realization, predicted, truth)`` blocks, each with
-    the states ``state_idx`` above the outputs.
+    the model's states above its outputs, every channel bound by its name.
 
     Each realization starts from its true initial state and is driven by its
     recorded inputs; steps ``1..l-1`` are paired with the recorded states and
     outputs. All realizations are rolled out in one call.
     """
-    truth = RolloutTruth.of(ds, state_idx)
+    names = (model.state_names, model.input_names, model.output_names)
+    try:
+        idx = [[ds.index_of(n) for n in group] for group in names]
+    except DatasetError as exc:
+        raise DatasetError(f"model channels missing from dataset: {exc}") from exc
+    truth = RolloutTruth.of(ds, idx[0], roles=idx[1:])
     pred = np.vstack(rollout(model, truth.x0, truth.V, truth.starts))
     cuts = truth.starts[1:]
     blocks = zip(np.hsplit(pred, cuts), np.hsplit(np.vstack([truth.Xp, truth.Yp]), cuts))

@@ -50,6 +50,8 @@ class ChannelMeta:
     subsystem: str = ""
 
     def __post_init__(self):
+        if not all(isinstance(v, str) for v in (self.name, self.role, self.subsystem)):
+            raise DatasetError(f"channel {self.name!r}: name, role and subsystem must be strings")
         if self.role not in ROLES:
             raise DatasetError(f"channel {self.name!r}: unknown role {self.role!r}")
 
@@ -154,10 +156,9 @@ class TimeSeriesDataset:
         return self._roles["candidate"]
 
     def index_of(self, name: str) -> int:
-        for i, c in enumerate(self.manifest):
-            if c.name == name:
-                return i
-        raise DatasetError(f"no channel named {name!r}")
+        if name not in self._names:
+            raise DatasetError(f"no channel named {name!r}")
+        return self._names.index(name)
 
     def subsystems(self) -> tuple[str, ...]:
         """Distinct subsystem labels of candidate channels, in manifest order."""
@@ -229,11 +230,12 @@ def load_manifest(path: str | Path) -> tuple[float, tuple[ChannelMeta, ...]]:
     doc = read_json(path)
     try:
         dt = float(doc["dt_seconds"])
-        channels = tuple(
-            ChannelMeta(str(c["name"]), str(c["role"]), str(c.get("subsystem", "")))
-            for c in doc["channels"]
-        )
-    except (KeyError, TypeError) as exc:
+        if not dt > 0:
+            raise ValueError(f"dt_seconds must be positive, got {dt}")
+        channels = tuple(ChannelMeta(c["name"], c["role"], c.get("subsystem", "")) for c in doc["channels"])
+        if not channels:
+            raise ValueError("no channels")
+    except (KeyError, TypeError, ValueError) as exc:
         raise DatasetError(f"malformed manifest {path}: {exc}") from exc
     return dt, channels
 

@@ -73,10 +73,10 @@ class StateSpaceModel:
         Ad = np.asarray(self.Ad, dtype=float)
         Bd = np.asarray(self.Bd, dtype=float)
         Cd = np.asarray(self.Cd, dtype=float)
-        n = Ad.shape[0]
-        if Ad.shape != (n, n):
+        if Ad.ndim != 2 or Ad.shape[0] != Ad.shape[1]:
             raise ValueError(f"Ad must be square, got {Ad.shape}")
-        if Bd.shape[0] != n or Cd.shape[1] != n:
+        n = Ad.shape[0]
+        if Bd.ndim != 2 or Cd.ndim != 2 or Bd.shape[0] != n or Cd.shape[1] != n:
             raise ValueError("Ad, Bd, Cd dimensions are inconsistent")
         if len(self.state_names) != n:
             raise ValueError("state_names length must match Ad")

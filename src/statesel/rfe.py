@@ -290,7 +290,6 @@ def merged_search(
     pool: Sequence[int],
     cfg: RFEConfig,
     workers: int = 1,
-    method: str = "rfe",
     diagnostics: dict | None = None,
 ) -> SelectionResult:
     """Exhaustive cost-minimizing sweep over the merged pool (step III).
@@ -314,7 +313,7 @@ def merged_search(
     diag = dict(diagnostics or {})
     diag["subsets_examined"] = len(subsets)
     diag["merged_pool"] = list(pool)
-    return finish_winner(evaluator, test, best, method, diag)
+    return finish_winner(evaluator, test, best, "rfe", diag)
 
 
 def rfe_select(
@@ -345,6 +344,4 @@ def rfe_select(
             for (src, dst), chosen in imports.items()
         },
     }
-    return merged_search(
-        evaluator, test, merged, cfg, workers=workers, method="rfe", diagnostics=diagnostics
-    )
+    return merged_search(evaluator, test, merged, cfg, workers=workers, diagnostics=diagnostics)

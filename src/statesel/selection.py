@@ -10,13 +10,13 @@ cap of the run share it.
 
 A selector names the pool it searches (RFE's merged pool, the GA's pool),
 and ``searched_pool`` gives the evaluator's record of it, made on first use
-and kept: the pool's ``PoolReduction`` (the triangular factor every subset
-of it is fitted from), its ``RolloutTruth`` (the rows a rollout is scored
-against) and ``costs``, the cost of each subset scored from it, keyed by the
-sorted subset: the caller's own tuple when that is sorted already. Subsets
-of a pool wider than ``REDUCED_POOL_MAX``, or of no pool, are fitted from
-their own snapshots; all of these share one record, without reduction or
-truth. A subset is scored by one rollout of all its realizations. Fits from
+and kept under the sorted pool: its ``RolloutTruth`` (the rows a rollout is
+scored against), its ``PoolReduction`` (the triangular factor every subset of
+it is fitted from) unless it is wider than ``REDUCED_POOL_MAX``, whose subsets
+are fitted from their own snapshots, and ``costs``, the cost of each subset
+scored from it, keyed by the sorted subset: the caller's own tuple when that
+is sorted already. Queries that name no pool share a record without either.
+A subset is scored by one rollout of all its realizations. Fits from
 different pools agree to round-off, not bit for bit, so a query reads only
 the costs of the pool it names, whatever other searches ran before it. The
 winner's reported model and costs come from one fit on its own snapshots,
@@ -38,13 +38,12 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import partial
-from pathlib import Path
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from .cost import ChannelScales, CostBreakdown, RolloutTruth, pooled_std, rollout_cost
-from .datamodel import TimeSeriesDataset, write_json
+from .datamodel import TimeSeriesDataset
 from .dmdc import PoolReduction, StateSpaceModel, TruncationPolicy, fit_model
 from .errors import DegenerateSnapshots
 
@@ -85,15 +84,12 @@ class SelectionResult:
             "diagnostics": self.diagnostics,
         }
 
-    def save(self, path: str | Path) -> None:
-        write_json(path, self.to_dict())
-
 
 @dataclass(slots=True)
 class SearchedPool:
-    """What an evaluator keeps of one searched pool: its reduction and its
-    rollout truth (None if it is not reduced) and the cost of every subset
-    scored from it, keyed by the sorted subset; None marks a degenerate fit."""
+    """One searched pool's reduction (None if too wide), rollout truth (None
+    only for no pool) and the cost of every subset scored from it, keyed by
+    the sorted subset; None marks a degenerate fit."""
 
     reduction: PoolReduction | None = None
     truth: RolloutTruth | None = None
@@ -125,25 +121,24 @@ class SubsetEvaluator:
         self.scale_floor = scale_floor
         self.std = pooled_std(train)
         self._sigma_y = np.maximum(self.std[list(train.output_indices)], scale_floor)
-        # the sorted pool, or None for no pool or one too wide to reduce -> its record
+        # the sorted pool, or None for no pool -> its record
         self._pools: dict[tuple[int, ...] | None, SearchedPool] = {None: SearchedPool()}
         self._named: tuple[tuple[int, ...] | None, SearchedPool | None] = (None, None)
         self.fit_count = 0
 
     def searched_pool(self, pool: Sequence[int] | None) -> SearchedPool:
         """The record of ``pool``, made on first use and kept; a caller that
-        forks workers asks for it first, so that the workers inherit it. No
-        pool and every pool wider than ``REDUCED_POOL_MAX`` share one record,
-        with neither reduction nor truth. The last pool named is remembered,
-        so queries that name their pool by one tuple sort it once."""
+        forks workers asks for it first, so that the workers inherit it.
+        Every pool has its truth; only a pool of at most ``REDUCED_POOL_MAX``
+        channels has a reduction. The last pool named is remembered, so
+        queries that name their pool by one tuple sort it once."""
         if pool is None:
             return self._pools[None]
         pool = tuple(pool)  # the same object if ``pool`` is a tuple
         if pool is not self._named[0]:
             key = tuple(sorted(set(pool)))
-            key = key if len(key) <= REDUCED_POOL_MAX else None
             if key not in self._pools:
-                reduction = PoolReduction.of(self.train, key)
+                reduction = PoolReduction.of(self.train, key) if len(key) <= REDUCED_POOL_MAX else None
                 self._pools[key] = SearchedPool(reduction, RolloutTruth.of(self.train, key))
             self._named = (pool, self._pools[key])
         return self._named[1]

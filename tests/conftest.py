@@ -302,14 +302,44 @@ def mean_importance_two_fit(evaluator, survivors, factor, rows):
     return importance(Cd).mean
 
 
-# A fit from a reduction is within FIT_TOL * eps * kappa (relative,
-# Frobenius) of the direct fit, kappa = sigma_1 / sigma_q of the direct fit's
-# stack. Both solve the same least-squares problem with a backward stable
-# method, so they differ by the problem's own sensitivity, about
-# eps * kappa when the regression is exact or nearly so; the largest ratio
-# seen over 3 000 random cases was about 800. A Gram-matrix fit loses
-# eps * kappa^2 instead: all of its digits at kappa = 1e8.
+# A fit from a reduction is within FIT_TOL * eps * (kappa + kappa^2 tan theta)
+# (relative, Frobenius) of the direct fit; ``fit_tol`` computes it. Both
+# solve the same least-squares problem with a backward stable method, so they
+# differ by the problem's own sensitivity (Golub & Van Loan, Matrix
+# Computations, Thm 5.3.1): kappa = sigma_1 / sigma_q of the direct fit's
+# stack, and tan theta the ratio of the direct fit's residual to its fitted
+# part. The kappa term bounds an exact or nearly exact regression; the
+# residual term a regression on candidates its target does not depend on,
+# where tan theta reaches 1e4 and more. Over 4 000 random cases of each
+# oracle test, the largest ratio of the distance to this bound was 0.064
+# (test_dmdc) and 3e-4 (test_rfe); to FIT_TOL * eps * kappa alone, 0.085.
+# A Gram-matrix fit loses eps * kappa^2 instead: all of its digits at
+# kappa = 1e8.
 FIT_TOL = 1e4
+
+
+def fit_tol(stack, target, solution, q):
+    """The relative (Frobenius) distance ``FIT_TOL`` allows between a fit
+    from a reduction and ``solution``, the direct fit of ``target`` by
+    ``solution @ stack`` truncated at rank ``q``. A zero ``solution``
+    allows no distance at all."""
+    sv = np.linalg.svd(stack, compute_uv=False)
+    kappa = sv[0] / sv[q - 1]
+    fitted = solution @ stack
+    tan_theta = np.linalg.norm(target - fitted) / np.linalg.norm(fitted) if np.any(fitted) else 0.0
+    return FIT_TOL * np.finfo(float).eps * (kappa + kappa**2 * tan_theta)
+
+
+class Drawn:
+    """Stands in for ``st.data()`` in an ``@example``: each ``draw`` returns
+    the next of ``values``, starting over after the last."""
+
+    def __init__(self, *values):
+        self.values, self.drawn = values, 0
+
+    def draw(self, strategy, label=None):
+        self.drawn += 1
+        return self.values[(self.drawn - 1) % len(self.values)]
 
 
 def svd_solve(M, B, max_condition):

@@ -7,6 +7,7 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from statesel.benchgen import (
@@ -16,12 +17,12 @@ from statesel.benchgen import (
 )
 from statesel.cli import RunConfig, main
 from statesel.cost import rollout_traces
-from statesel.datamodel import SplitSpec, emit, ingest, load_manifest, split
-from statesel.dmdc import fit_model, load_model, rollout, save_model
+from statesel.datamodel import ChannelMeta, SplitSpec, TimeSeriesDataset, emit, ingest, load_manifest, split
+from statesel.dmdc import StateSpaceModel, fit_model, load_model, rollout, save_model
 from statesel.errors import DatasetError
 from statesel.prefilter import prefilter
 
-from conftest import default_decoupled_spec
+from conftest import default_decoupled_spec, random_stable_discrete, simulate_discrete
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -452,6 +453,31 @@ class TestSelectChecksFirst:
         assert f"{manifest}: not a JSON document" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: doc.update(dt_seconds="x"), "could not convert string to float: 'x'"),
+            (lambda doc: doc.update(dt_seconds=-1), "dt_seconds must be positive, got -1.0"),
+            (lambda doc: doc["channels"][0].update(role=5), "must be strings"),
+            (lambda doc: doc["channels"][0].update(role="state"), "unknown role 'state'"),
+        ],
+        ids=["dt_text", "dt_negative", "role_number", "role_unknown"],
+    )
+    def test_malformed_manifest_is_named(self, data, tmp_path, capsys, edit, message):
+        doc = json.loads((data / "manifest.json").read_text(encoding="utf-8"))
+        edit(doc)
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(doc), encoding="utf-8")
+        assert self.select(data, tmp_path, {"manifest": str(manifest)}) == 1
+        err = capsys.readouterr().err
+        assert f"error: malformed manifest {manifest}: " in err and message in err
+        assert not (tmp_path / "out").exists()
+        report = tmp_path / "report.csv"
+        args = ["--data", str(data), "--manifest", str(manifest), "--out", str(report)]
+        assert main(["prefilter", *args]) == 1
+        assert f"error: malformed manifest {manifest}: " in capsys.readouterr().err
+        assert not report.exists()
+
     def test_nonempty_output_refused_before_reading(self, tmp_path, capsys):
         (tmp_path / "out").mkdir()
         (tmp_path / "out" / "keep.txt").write_text("x")
@@ -495,8 +521,10 @@ class TestJsonDocuments:
             lambda doc: {**doc, "data": 5},
             lambda doc: {**doc, "ga": {"population_size": "480"}},
             lambda doc: {**doc, "train_fraction": "0.8"},
+            lambda doc: {**doc, "manifest": 5},
+            lambda doc: {**doc, "out": 5},
         ],
-        ids=["not_an_object", "section", "data", "ga_setting", "train_fraction"],
+        ids=["not_an_object", "section", "data", "ga_setting", "train_fraction", "manifest", "out"],
     )
     def test_malformed_config_is_named(self, tmp_path, capsys, edit):
         _, _, config, _ = self.documents(tmp_path)
@@ -665,6 +693,88 @@ class TestPredict:
         assert f"malformed model {model_path}: missing key 'state_names'" in err
 
 
+    @pytest.fixture(scope="class")
+    def coupled_run(self, tmp_path_factory):
+        """The default coupled blocks of seed 1, where rolling each test
+        realization out on its own rounds differently from one rollout of
+        all of them, and a select run over them."""
+        root = tmp_path_factory.mktemp("coupled_run")
+        data = root / "data"
+        assert main(["generate", "synth", "--seed", "1", "--out", str(data)]) == 0
+        config = {
+            "data": str(data),
+            "manifest": str(data / "manifest.json"),
+            "out": str(root / "run"),
+            "caps": [3],
+            "ga": {"population_size": 16, "restarts": 2, "stall_generations": 8, "max_generations": 40},
+        }
+        (root / "run.json").write_text(json.dumps(config))
+        assert main(["select", "--config", str(root / "run.json")]) == 0
+        return root
+
+    @pytest.mark.parametrize("method", ["rfe", "ga"])
+    def test_writes_the_select_trace_up_to_the_horizon(self, coupled_run, tmp_path, method):
+        """A horizon past every test realization writes, byte for byte, the
+        trace ``select`` wrote for the model; a shorter one writes its lines
+        up to the horizon."""
+        data, run, out = coupled_run / "data", coupled_run / "run", tmp_path / "t.csv"
+        model, trace = run / f"model_{method}_cap3.json", run / f"trace_{method}_cap3.csv"
+        assert self.predict(data, model, out, horizon="100000") == 0
+        assert out.read_bytes() == trace.read_bytes()
+        assert self.predict(data, model, out, horizon="7") == 0
+        header, *lines = trace.read_text().splitlines()
+        assert out.read_text().splitlines() == [header] + [l for l in lines if int(l.split(",")[1]) <= 7]
+
+    @staticmethod
+    def two_port(root):
+        """An exact LTI recording with 2 inputs, 2 outputs and its 3 states
+        as candidates, emitted to ``root / "data"``, and again to ``root /
+        "shuffled"`` with every channel at another place in the manifest."""
+        rng = np.random.default_rng(8)
+        Ad, Bd, Cd = random_stable_discrete(rng, 3, 2, 2)
+        reals = []
+        for steps in (60, 45):
+            V = rng.standard_normal((2, steps))
+            X = simulate_discrete(Ad, Bd, V[:, :-1], rng.standard_normal(3))
+            reals.append(np.vstack([V, Cd @ X, X]))
+        roles = ["input"] * 2 + ["output"] * 2 + ["candidate"] * 3
+        names = ["u0", "u1", "y0", "y1", "x0", "x1", "x2"]
+        manifest = tuple(ChannelMeta(n, r) for n, r in zip(names, roles))
+        ds = TimeSeriesDataset(0.1, tuple(reals), manifest)
+        order = [3, 6, 1, 4, 0, 5, 2]
+        emit(ds, root / "data")
+        emit(TimeSeriesDataset(0.1, tuple(a[order] for a in reals), tuple(manifest[i] for i in order)), root / "shuffled")
+        return ds
+
+    def test_channels_bind_by_name(self, tmp_path):
+        """Inputs and outputs in another manifest order, and a model with no
+        inputs, give the traces of a rollout that binds every channel by its
+        name, one realization at a time."""
+        ds = self.two_port(tmp_path)
+        _, test = split(ds, SplitSpec(0.8))
+        model = fit_model(split(ds, SplitSpec(0.8))[0], [4, 5, 6])
+        no_inputs = StateSpaceModel(
+            model.Ad, model.Bd[:, :0], model.Cd, model.state_names, (), model.output_names, model.dt
+        )
+        for m, inputs in ((model, [0, 1]), (no_inputs, [])):
+            model_path = tmp_path / "model.json"
+            save_model(m, model_path)
+            traces = {}
+            for data in ("data", "shuffled"):
+                out = tmp_path / f"{data}.csv"
+                assert self.predict(tmp_path / data, model_path, out, horizon="100") == 0
+                traces[data] = out.read_bytes()
+            assert traces["shuffled"] == traces["data"]
+            predicted, truth = [], []
+            for arr in test.realizations:
+                X = simulate_discrete(m.Ad, m.Bd, arr[inputs, :-1], arr[[4, 5, 6], 0])[:, 1:]
+                predicted += [*X.ravel(), *(m.Cd @ X).ravel()]
+                truth += [*arr[[4, 5, 6], 1:].ravel(), *arr[[2, 3], 1:].ravel()]
+            rows = read_rows(tmp_path / "data.csv")
+            assert_written([r["truth"] for r in rows], truth)
+            np.testing.assert_allclose([float(r["predicted"]) for r in rows], predicted, rtol=1e-9, atol=1e-12)
+
+
 def assert_written(cells, values):
     """Each cell reads back with ``float()`` to the value written, as its
     shortest text."""
@@ -689,9 +799,8 @@ class TestWrittenFloats:
     def test_select_trace(self, synth_run, split_data, method):
         root, _, _ = synth_run
         run = root / "run"
-        indices = json.loads((run / f"selection_{method}_cap3.json").read_text())["indices"]
         model = load_model(run / f"model_{method}_cap3.json")
-        blocks = rollout_traces(model, split_data[1], indices)
+        blocks = rollout_traces(model, split_data[1])
         rows = read_rows(run / f"trace_{method}_cap3.csv")
         assert_written([r["predicted"] for r in rows], [v for _, p, _ in blocks for v in p.ravel()])
         assert_written([r["truth"] for r in rows], [v for _, _, t in blocks for v in t.ravel()])

@@ -204,7 +204,7 @@ class TestRolloutCostOracle:
         ds = self.dataset(np.random.default_rng(23))
         subset, ins, outs = [3, 5], list(ds.input_indices), list(ds.output_indices)
         model = fit_model(ds, subset)
-        traces = rollout_traces(model, ds, subset)
+        traces = rollout_traces(model, ds)
         assert [r for r, _, _ in traces] == [0, 1, 2]
         for (_, pred, true), arr in zip(traces, ds.realizations):
             X = simulate_discrete(model.Ad, model.Bd, arr[ins, :-1], arr[subset, 0])[:, 1:]

@@ -25,7 +25,7 @@ from statesel.dmdc import (
 )
 from statesel.errors import DegenerateSnapshots
 
-from conftest import FIT_TOL, direct_fit, random_stable_discrete, simulate_discrete
+from conftest import direct_fit, fit_tol, random_stable_discrete, simulate_discrete
 
 
 def make_model(Ad, Bd, Cd, dt=0.1):
@@ -471,7 +471,7 @@ def reduced_fit(ds, pool, subset, policy):
 class TestReducedFit:
     """The fit from a pool's reduction against ``direct_fit``, the fit from
     the ``L``-column snapshots in conftest: the same ``DegenerateSnapshots``
-    cases, the same truncation rank ``q`` and matrices within ``FIT_TOL``."""
+    cases, the same truncation rank ``q`` and matrices within ``fit_tol``."""
 
     @staticmethod
     def dataset(rng, kind, log_cond):
@@ -510,15 +510,14 @@ class TestReducedFit:
     def check(self, ds, pool, subset, policy):
         want, got = direct_fit(ds, subset, policy), reduced_fit(ds, pool, subset, policy)
         snaps = assemble_snapshots(ds, subset)
-        stacks = {"dynamics": np.vstack([snaps.X, snaps.V]), "output": snaps.X}
+        problems = {"dynamics": (np.vstack([snaps.X, snaps.V]), snaps.Xp), "output": (snaps.X, snaps.Y)}
         for part in ("dynamics", "output"):
             w, g = want[part], got[part]
             if isinstance(w, str) or isinstance(g, str):
                 assert w == g, part
                 continue
             assert g[-1] == w[-1], part  # truncation rank
-            sv = np.linalg.svd(stacks[part], compute_uv=False)
-            tol = FIT_TOL * np.finfo(float).eps * sv[0] / sv[w[-1] - 1]
+            tol = fit_tol(*problems[part], np.hstack(w[:-1]), w[-1])
             for a, b in zip(w[:-1], g[:-1]):
                 assert np.linalg.norm(a - b) <= tol * np.linalg.norm(a), part
         return want

@@ -2,7 +2,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from statesel.datamodel import ChannelMeta, SplitSpec, TimeSeriesDataset, assemble_snapshots, split
@@ -25,7 +25,7 @@ from statesel.rfe import (
 )
 from statesel.selection import SubsetEvaluator, subset_key
 
-from conftest import FIT_TOL, correlation, mean_importance_two_fit, simulate_discrete, svd_solve
+from conftest import Drawn, correlation, fit_tol, mean_importance_two_fit, simulate_discrete, svd_solve
 
 # worked two-subsystem example: a high-gain block dominating a low-gain one
 GAIN_DISPARITY_CD = np.array(
@@ -247,11 +247,13 @@ class TestMeanImportanceOracle:
         zero_inputs=st.booleans(),
         data=st.data(),
     )
+    # outputs that do not depend on the candidates: kappa = 1, tan theta = 2.4e4
+    @example(seed=1389, n_cand=3, n_out=1, zero_inputs=False, data=Drawn(set(), {4}, []))
     def test_factor_fit_matches_direct_fit(self, seed, n_cand, n_out, zero_inputs, data):
         # the output map from the pool's factor against the one from the
         # survivors' L-column snapshots, as the fit oracle in test_dmdc: the
         # same DegenerateSnapshots cases, the same truncation rank q, and
-        # matrices within FIT_TOL
+        # matrices within fit_tol
         zero_cands = data.draw(st.sets(st.integers(min_value=0, max_value=n_cand - 1)))
         ds = self.dataset(np.random.default_rng(seed), n_cand, n_out, zero_inputs, zero_cands)
         pool = list(ds.candidate_indices)
@@ -269,8 +271,7 @@ class TestMeanImportanceOracle:
             return
         (want, q), (got, got_q) = want, got
         assert got_q == q
-        sv = np.linalg.svd(snaps.X, compute_uv=False)
-        tol = FIT_TOL * np.finfo(float).eps * sv[0] / sv[q - 1]
+        tol = fit_tol(snaps.X, snaps.Y[y_rows], want, q)
         assert np.linalg.norm(got - want) <= tol * np.linalg.norm(want)
 
     @pytest.mark.parametrize("zero_inputs", [False, True], ids=["nonzero_inputs", "all_zero_stack"])

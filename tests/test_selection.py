@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 
 from statesel import dmdc, selection
-from statesel.cost import CostBreakdown
+from statesel.cost import CostBreakdown, RolloutTruth
 from statesel.datamodel import ChannelMeta, TimeSeriesDataset
 from statesel.dmdc import StateSpaceModel
 from statesel.ga import GAConfig, ga_select
@@ -107,26 +107,37 @@ def test_pool_workers_fit_from_the_parents_factor(coupled_split, coupled_kept, m
 
 def test_wide_pools_are_not_reduced(coupled_split, coupled_kept, monkeypatch):
     """A pool wider than ``REDUCED_POOL_MAX`` gets no reduction: its subsets
-    are fitted from their own snapshots and score exactly as with no pool."""
+    are fitted from their own snapshots. It has a record and a truth of its
+    own, sliced once for all its subsets, and every subset scores exactly as
+    with no pool."""
     train, _ = coupled_split
     pool = coupled_kept[:6]
     monkeypatch.setattr(selection, "REDUCED_POOL_MAX", len(pool) - 1)
-    ev = SubsetEvaluator(train)
     subsets = enumerate_subsets(pool, 2)
     alone = SubsetEvaluator(train)
+    want = [alone.evaluate(s) for s in subsets]
+    ev = SubsetEvaluator(train)
 
     class NoReduction:
         @staticmethod
         def of(*args):
             raise AssertionError("a wide pool was reduced")
 
+    of, truths = RolloutTruth.of.__func__, []
+
+    def counted(cls, *args):
+        truths.append(of(cls, *args))
+        return truths[-1]
+
     with monkeypatch.context() as m:
         m.setattr(selection, "PoolReduction", NoReduction)
-        wide = ev.searched_pool(pool)
-        assert evaluate_subsets(subsets, ev, pool=pool) == [alone.evaluate(s) for s in subsets]
-    # the wide pool shares the record of no pool, so its costs are those of no pool
-    assert wide is ev.searched_pool(None)
-    assert wide.reduction is None and wide.truth is None and set(wide.costs) == set(subsets)
+        m.setattr(RolloutTruth, "of", classmethod(counted))
+        assert evaluate_subsets(subsets, ev, pool=pool) == want
+    wide = ev.searched_pool(pool)
+    assert len(truths) == 1 and wide.truth is truths[0]
+    assert wide.truth.channels == tuple(sorted(pool))
+    assert wide is not ev.searched_pool(None) and not ev.searched_pool(None).costs
+    assert wide.reduction is None and set(wide.costs) == set(subsets)
     assert ev.searched_pool(pool[:-1]).reduction is not None
 
 

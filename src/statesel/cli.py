@@ -197,6 +197,11 @@ def cmd_select(args: argparse.Namespace) -> int:
     # the unsplit recording is freed once split
     train, test = split(ingest(cfg.data, cfg.manifest), SplitSpec(cfg.train_fraction))
     report = prefilter(train, PrefilterConfig(**cfg.prefilter))
+    if not report.kept:  # before the output directory is made
+        raise DatasetError(
+            f"{args.config}: the prefilter kept none of the {len(train.candidate_indices)} candidates; "
+            "loosen the 'prefilter' section"
+        )
     evaluator = SubsetEvaluator(train, TruncationPolicy(**cfg.truncation), **cfg.cost)
 
     out.mkdir(parents=True, exist_ok=True)

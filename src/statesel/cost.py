@@ -21,6 +21,7 @@ import numpy as np
 from .datamodel import TimeSeriesDataset
 from .dmdc import StateSpaceModel, channel_rows, rollout
 from .errors import DatasetError
+from .prefilter import ROW_BLOCK
 
 
 @dataclass(frozen=True)
@@ -55,8 +56,12 @@ class CostBreakdown:
 
 
 def pooled_std(ds: TimeSeriesDataset) -> np.ndarray:
-    """Population standard deviation of every channel, pooled across realizations."""
-    return ds.data.std(axis=1)
+    """Population standard deviation of every channel, pooled across
+    realizations. Worked out ``ROW_BLOCK`` rows at a time, so that its
+    temporary (the deviations from the mean) is no copy of the recording;
+    each row's reduction is the same."""
+    data = ds.data
+    return np.concatenate([data[b : b + ROW_BLOCK].std(axis=1) for b in range(0, len(data), ROW_BLOCK)])
 
 
 def cost(

@@ -89,11 +89,8 @@ class TimeSeriesDataset:
             raise DatasetError(f"dt must be positive, got {self.dt}")
         manifest = tuple(self.manifest)
         names = [c.name for c in manifest]
-        seen = set()
-        for name in names:
-            if name in seen:
-                raise DuplicateChannel(f"duplicate channel name {name!r}")
-            seen.add(name)
+        if (name := _repeated(names)) is not None:
+            raise DuplicateChannel(f"duplicate channel name {name!r}")
         roles = [c.role for c in manifest]
         if "input" not in roles or "output" not in roles:
             raise DatasetError("dataset needs at least one input and one output channel")
@@ -237,7 +234,19 @@ def load_manifest(path: str | Path) -> tuple[float, tuple[ChannelMeta, ...]]:
             raise ValueError("no channels")
     except (KeyError, TypeError, ValueError) as exc:
         raise DatasetError(f"malformed manifest {path}: {exc}") from exc
+    if (name := _repeated(c.name for c in channels)) is not None:
+        raise DuplicateChannel(f"malformed manifest {path}: channel {name!r} is listed twice")
     return dt, channels
+
+
+def _repeated(names: Iterable[str]) -> str | None:
+    """The first name of ``names`` to come a second time, or None."""
+    seen = set()
+    for name in names:
+        if name in seen:
+            return name
+        seen.add(name)
+    return None
 
 
 def save_manifest(path: str | Path, dt: float, manifest: Sequence[ChannelMeta]) -> None:

@@ -19,6 +19,7 @@ children over the cap and its bit for each empty child.
 
 from __future__ import annotations
 
+import statistics
 from dataclasses import dataclass
 from functools import partial
 from typing import Sequence
@@ -195,7 +196,7 @@ def ga_select(
             {"indices": list(key[2]), "J": key[0], "generations": len(t) - 1} for key, t in runs
         ],
         "j_restart_best": min(restart_js),
-        "j_restart_median": float(np.median(restart_js)),
+        "j_restart_median": statistics.median(restart_js),
         "trace": trace,
     }
     return finish_winner(evaluator, test, best, "ga", diagnostics)

@@ -16,8 +16,10 @@ numpy here (``_complete_linkage``); it forms the partition of scipy's
 ``fcluster(complete(...), t, criterion="distance")``.
 
 Memory: beyond its input, a run holds one matrix of the survivors' unit rows
-and then one Gram matrix of the channels rule 2 kept; every other temporary
-is a block of ``ROW_BLOCK`` rows, or the distances of the rows that can merge.
+and then the Gram matrix of the rows that can merge: those within the dedupe
+threshold of another kept row, which a blocked scan of the unit rows finds.
+Every other temporary is a block of ``ROW_BLOCK`` rows, or is as small as
+that Gram matrix; no matrix grows with the square of the kept count.
 """
 
 from __future__ import annotations
@@ -31,9 +33,10 @@ import numpy as np
 from .datamodel import TimeSeriesDataset, write_csv
 from .errors import DatasetError
 
-# Rows per block of a row-wise pass (range variance, unit rows, the flags of
-# rows within the dedupe threshold), so that no temporary grows with the
-# number of candidates. Every result is row-wise and does not depend on it.
+# Rows per block of a row-wise pass (range variance, unit rows, the scan for
+# rows within the dedupe threshold, and ``cost.pooled_std``), so that no
+# temporary is a copy of the recording or grows with the square of the number
+# of candidates. No result depends on it.
 ROW_BLOCK = 64
 
 
@@ -73,18 +76,26 @@ def _unit_rows(data: np.ndarray, idx: Sequence[int]) -> np.ndarray:
     """Rows ``idx`` of ``data`` centered and scaled to unit norm, so that their
     inner products are Pearson correlations; a constant row becomes zero and
     correlates with nothing. Worked out ``ROW_BLOCK`` rows at a time."""
-    idx = np.asarray(idx, dtype=np.intp)
-    out = np.empty((len(idx), data.shape[1]))
-    for b in range(0, len(idx), ROW_BLOCK):
-        rows = data[idx[b : b + ROW_BLOCK]]  # a copy, centered in place
+    out = data[np.asarray(idx, dtype=np.intp)]  # a copy, made unit rows in place
+    for b in range(0, len(out), ROW_BLOCK):
+        rows = out[b : b + ROW_BLOCK]
         # a constant row's rounded mean can leave it a tiny nonzero norm
         const = rows.max(axis=1) == rows.min(axis=1)
         rows -= rows.mean(axis=1, keepdims=True)
         norms = np.sqrt(np.sum(rows * rows, axis=1))
         const |= norms == 0.0
         rows[const] = 0.0
-        np.divide(rows, np.where(const, 1.0, norms)[:, None], out=out[b : b + ROW_BLOCK])
+        rows /= np.where(const, 1.0, norms)[:, None]
     return out
+
+
+def _to_front(unit: np.ndarray, rows: Sequence[int]) -> None:
+    """Move rows ``rows`` of ``unit``, ascending, to its front in place,
+    ``ROW_BLOCK`` at a time: ``rows[i] >= i``, so no row is overwritten
+    before it is moved."""
+    for b in range(0, len(rows), ROW_BLOCK):
+        block = rows[b : b + ROW_BLOCK]
+        unit[b : b + len(block)] = unit[block]
 
 
 def _complete_linkage(dist: np.ndarray, t: float) -> list[list[int]]:
@@ -187,35 +198,38 @@ def prefilter(train: TimeSeriesDataset, cfg: PrefilterConfig | None = None) -> P
     # rule 3: duplicate clusters among survivors, each kept as its lowest
     # index (``kept`` is ascending, so that is the cluster's first position)
     if cfg.dedupe_enabled and len(kept) > 1:
-        # the kept rows move to the front of ``unit`` in place, rows[i] >= i
-        for b in range(0, len(rows), ROW_BLOCK):
-            block = rows[b : b + ROW_BLOCK]
-            unit[b : b + len(block)] = unit[block]
-        corr = unit[: len(kept)] @ unit[: len(kept)].T
-        del unit
-        np.clip(np.abs(corr, out=corr), 0.0, 1.0, out=corr)
-        # only rows within t of another row can merge; the distance matrix
-        # 1 - corr is formed for those alone
+        _to_front(unit, rows)
+        # only rows within t of another row can merge: a scan of the upper
+        # triangle of the kept rows' correlations, ROW_BLOCK rows at a time,
+        # flags both rows of each near pair
         t = 1.0 - cfg.dedupe_corr_threshold
-        near = np.empty(len(kept), dtype=bool)
+        kept_rows = unit[: len(kept)]
+        near = np.zeros(len(kept), dtype=bool)
         for b in range(0, len(kept), ROW_BLOCK):
-            within = 1.0 - corr[b : b + ROW_BLOCK] <= t
-            np.fill_diagonal(within[:, b:], False)
-            near[b : b + ROW_BLOCK] = within.any(axis=1)
+            block = kept_rows[b : b + ROW_BLOCK] @ kept_rows[b:].T
+            within = np.subtract(1.0, np.abs(block, out=block), out=block) <= t
+            np.fill_diagonal(within, False)
+            near[b : b + ROW_BLOCK] |= within.any(axis=1)
+            near[b:] |= within.any(axis=0)
+            del block  # so that the next block is not made while this one is held
         active = np.flatnonzero(near)
+        # the Gram matrix of those rows alone, once they lead ``unit``
+        _to_front(unit, active)
+        corr = unit[: len(active)] @ unit[: len(active)].T
+        del unit, kept_rows
+        np.clip(np.abs(corr, out=corr), 0.0, 1.0, out=corr)
         duplicates: set[int] = set()
-        for members in _complete_linkage(1.0 - corr[np.ix_(active, active)], t):
-            rep, *others = active[members].tolist()
+        for rep, *others in _complete_linkage(1.0 - corr, t):
             for m in others:
                 removed.append(
                     Removal(
-                        index=kept[m],
+                        index=kept[active[m]],
                         reason="duplicate",
                         evidence=float(corr[m, rep]),
-                        representative=kept[rep],
+                        representative=kept[active[rep]],
                     )
                 )
-            duplicates.update(others)
+            duplicates.update(active[others].tolist())
         kept = [idx for pos, idx in enumerate(kept) if pos not in duplicates]
 
     removed.sort(key=lambda r: r.index)

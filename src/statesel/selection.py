@@ -35,7 +35,6 @@ Workers fit and roll out with numpy alone: nothing is imported before a fork.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from typing import Any, Callable, Sequence
@@ -236,7 +235,10 @@ def _map_in_workers(
     """``fn(item, evaluator=...)`` of each item, in order, in ``workers``
     forked processes. The record of ``pool`` is made first, so every
     worker fits from the parent's factor; a worker gets ``evaluator`` once,
-    when it starts, with its pools' records as they stand."""
+    when it starts, with its pools' records as they stand. The executor is
+    imported here, so that a run with one worker never loads it."""
+    from concurrent.futures import ProcessPoolExecutor
+
     evaluator.searched_pool(pool)
     with ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(evaluator,)) as executor:
         return list(executor.map(partial(_call_in_worker, fn), items))

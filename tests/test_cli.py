@@ -338,7 +338,7 @@ class TestWorkerCount:
         def no_pool(*args, **kwargs):
             raise AssertionError("a worker pool started")
 
-        monkeypatch.setattr("statesel.selection.ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
         monkeypatch.delenv("STATESEL_WORKERS", raising=False)
         path = tmp_path / "run.json"
         path.write_text(json.dumps({"data": str(tmp_path / "none"), "manifest": "m.json", "out": str(tmp_path / "out")}))
@@ -460,8 +460,9 @@ class TestSelectChecksFirst:
             (lambda doc: doc.update(dt_seconds=-1), "dt_seconds must be positive, got -1.0"),
             (lambda doc: doc["channels"][0].update(role=5), "must be strings"),
             (lambda doc: doc["channels"][0].update(role="state"), "unknown role 'state'"),
+            (lambda doc: doc["channels"].append(doc["channels"][-1]), "is listed twice"),
         ],
-        ids=["dt_text", "dt_negative", "role_number", "role_unknown"],
+        ids=["dt_text", "dt_negative", "role_number", "role_unknown", "channel_twice"],
     )
     def test_malformed_manifest_is_named(self, data, tmp_path, capsys, edit, message):
         doc = json.loads((data / "manifest.json").read_text(encoding="utf-8"))
@@ -477,6 +478,13 @@ class TestSelectChecksFirst:
         assert main(["prefilter", *args]) == 1
         assert f"error: malformed manifest {manifest}: " in capsys.readouterr().err
         assert not report.exists()
+
+    def test_prefilter_keeping_nothing(self, data, tmp_path, capsys):
+        # every range-standardized variance is at most 1/4
+        assert self.select(data, tmp_path, {"prefilter": {"variance_epsilon": 5}}) == 1
+        err = capsys.readouterr().err
+        assert "the prefilter kept none of the" in err and "'prefilter' section" in err
+        assert not (tmp_path / "out").exists()
 
     def test_nonempty_output_refused_before_reading(self, tmp_path, capsys):
         (tmp_path / "out").mkdir()
@@ -880,7 +888,8 @@ class TestReportAndPrefilter:
 
 class TestColdStart:
     """Commands run in a fresh interpreter, which then holds no scipy module;
-    only ``generate`` loads the simulators of ``statesel.benchgen``."""
+    only ``generate`` loads the simulators of ``statesel.benchgen``, and a
+    one-worker ``select`` loads neither ``concurrent.futures`` nor ``numpy.ma``."""
 
     PRELUDE = [
         "import sys",
@@ -936,6 +945,9 @@ class TestColdStart:
             "assert statesel.cli.main(select) == 0",
             "assert not scipy_modules(), ('select', scipy_modules())",
             "assert 'statesel.benchgen' not in sys.modules, 'select'",
+            "# one worker starts no pool, and the GA's restart median needs no masked arrays",
+            "assert 'concurrent.futures' not in sys.modules, 'select'",
+            "assert 'numpy.ma' not in sys.modules, 'select'",
             "predict = ['predict', '--model', sys.argv[2], '--data', sys.argv[3], '--manifest', sys.argv[4],",
             "           '--horizon', '40', '--out', sys.argv[5]]",
             "assert statesel.cli.main(predict) == 0",

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,12 @@ from statesel.dmdc import fit_model
 from statesel.errors import DatasetError
 from statesel.selection import SubsetEvaluator
 
-from conftest import per_realization_cost, random_stable_discrete, simulate_discrete
+from conftest import (
+    per_realization_cost,
+    pooled_std_per_realization,
+    random_stable_discrete,
+    simulate_discrete,
+)
 
 
 def dataset_from_rows(rows_per_real, dt=0.1):
@@ -65,6 +72,18 @@ class TestComputeScales:
                 np.vstack([np.ones(3), np.ones(3), np.array([2.0, 2.0, 2.0])])]
         ds = dataset_from_rows(rows)
         assert pooled_std(ds)[2] == pytest.approx(1.0)
+
+    def test_row_blocks_match_the_whole_recording(self, wide_csv_split):
+        # 402 channels span several blocks; no temporary is a copy of the split
+        train, _ = wide_csv_split
+        tracemalloc.start()
+        try:
+            got = pooled_std(train)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, pooled_std_per_realization(train))
+        assert peak <= train.data.nbytes / 2
 
 
 class TestCost:

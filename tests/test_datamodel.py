@@ -1,3 +1,4 @@
+import json
 import re
 import tracemalloc
 
@@ -121,6 +122,18 @@ class TestIngest:
         csv_path.write_text("\n".join(shuffled) + "\n")
         back = ingest(csv_path, tmp_path / "manifest.json")
         assert np.array_equal(back.realizations[0], ds.realizations[0])
+
+    def test_channel_listed_twice_names_the_manifest(self, tmp_path):
+        # the data CSV has one column per channel, so the manifest must be blamed
+        ds = small_dataset()
+        emit(ds, tmp_path)
+        path = tmp_path / "manifest.json"
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc["channels"].insert(3, doc["channels"][2])
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        message = f"malformed manifest {re.escape(str(path))}: channel 'a' is listed twice"
+        with pytest.raises(DuplicateChannel, match=message):
+            ingest(tmp_path, path)
 
     def test_malformed_manifest(self, tmp_path):
         path = tmp_path / "manifest.json"

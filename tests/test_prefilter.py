@@ -1,6 +1,7 @@
 import importlib
 import time
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -336,34 +337,95 @@ class TestCompleteLinkage:
         assert elapsed < 10.0
 
 
+def dense_rule3(train, cfg):
+    """Rule 3 in dense form, the oracle of the blocked scan: the full Gram
+    matrix of the channels rules 1-2 kept, then scipy's complete
+    linkage on ``1 - |r|``. Returns the kept channels, each duplicate's
+    (evidence, representative), and the number of kept channels within the
+    threshold of another."""
+    kept = list(prefilter(train, replace(cfg, dedupe_enabled=False)).kept)
+    unit = _unit_rows(train.data, kept)
+    corr = np.clip(np.abs(unit @ unit.T), 0.0, 1.0)
+    dist = 1.0 - corr
+    np.fill_diagonal(dist, 0.0)
+    t = 1.0 - cfg.dedupe_corr_threshold
+    duplicates = {}
+    for members in scipy_clusters(dist, t):
+        rep = members[0]
+        for m in members[1:]:
+            duplicates[kept[m]] = (float(corr[m, rep]), kept[rep])
+    np.fill_diagonal(dist, np.inf)
+    active = int((dist <= t).any(axis=1).sum())
+    return tuple(i for i in kept if i not in duplicates), duplicates, active
+
+
+def assert_rule3_matches(report, expected_kept, expected):
+    """The same kept set and representatives, and evidence to round-off: the
+    Gram matrix of the rows that can merge sums as the full one does, but
+    not always in the same order."""
+    got = {r.index: (r.evidence, r.representative) for r in report.removed if r.reason == "duplicate"}
+    assert report.kept == expected_kept
+    assert {i: rep for i, (_, rep) in got.items()} == {i: rep for i, (_, rep) in expected.items()}
+    for i, (evidence, _) in got.items():
+        assert abs(evidence - expected[i][0]) <= 4 * np.finfo(float).eps, i
+
+
 class TestRule3Oracle:
-    """Rule 3 against scipy's complete linkage on the same distances."""
+    """Rule 3 against the dense Gram matrix and scipy's complete linkage."""
 
     @pytest.mark.parametrize("split_name", ["rlc_split", "coupled_split", "wide_split"])
     def test_matches_scipy_linkage(self, split_name, request):
         train, _ = request.getfixturevalue(split_name)
         cfg = PrefilterConfig()
-        kept = list(prefilter(train, PrefilterConfig(dedupe_enabled=False)).kept)
-        report = prefilter(train, cfg)
-        unit = _unit_rows(np.hstack(train.realizations), kept)
-        corr = np.clip(np.abs(unit @ unit.T), 0.0, 1.0)
-        dist = 1.0 - corr
-        np.fill_diagonal(dist, 0.0)
-        expected = {}
-        for members in scipy_clusters(dist, 1.0 - cfg.dedupe_corr_threshold):
-            rep = members[0]
-            for m in members[1:]:
-                expected[kept[m]] = (float(corr[m, rep]), kept[rep])
-        got = {r.index: (r.evidence, r.representative) for r in report.removed if r.reason == "duplicate"}
-        assert got == expected
-        assert report.kept == tuple(i for i in kept if i not in expected)
+        expected_kept, expected, _ = dense_rule3(train, cfg)
+        assert_rule3_matches(prefilter(train, cfg), expected_kept, expected)
         if split_name == "rlc_split":
             assert expected, "the case should exercise a removal"
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_planted_groups_and_chains(self, data):
+        """Random rows with planted groups of near copies (cliques) and
+        chains whose neighbours are near but whose second neighbours are
+        not, under any ``ROW_BLOCK``."""
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        threshold = 0.999
+        t = 1.0 - threshold
+        steps = 48
+        rows = list(rng.standard_normal((data.draw(st.integers(2, 30), label="free"), steps)))
+        for _ in range(data.draw(st.integers(0, 4), label="groups")):
+            base = rng.standard_normal(steps)
+            for _ in range(data.draw(st.integers(2, 5), label="size")):
+                # 1 - |r| ~ |noise|^2 / 2: at most t / 8 from the base, t / 2 apart
+                noise = rng.standard_normal(steps) * np.sqrt(t / 4) * rng.uniform(0.0, 1.0) / np.sqrt(steps)
+                rows.append(rng.choice([-1.0, 1.0]) * (base / np.linalg.norm(base) + noise))
+        for _ in range(data.draw(st.integers(0, 3), label="chains")):
+            # unit vectors along a circle: neighbours near, second neighbours
+            # at about four times their distance, beyond t
+            e1, e2 = np.linalg.qr(rng.standard_normal((steps, 2)) - rng.standard_normal((1, 2)))[0].T
+            theta = np.arccos(1.0 - t * rng.uniform(0.4, 0.7))
+            angles = np.cumsum(theta * rng.uniform(0.85, 1.15, data.draw(st.integers(2, 8), label="length")))
+            rows += [np.cos(a) * e1 + np.sin(a) * e2 for a in angles]
+        rows = [rng.uniform(0.1, 10.0) * r + rng.uniform(-5.0, 5.0) for r in rows]
+        order = rng.permutation(len(rows))
+        u = rng.standard_normal(steps)
+        manifest = [ChannelMeta("u", "input"), ChannelMeta("y", "output")]
+        manifest += [ChannelMeta(f"c{j}", "candidate") for j in range(len(rows))]
+        block = np.vstack([u, rng.standard_normal(steps)] + [rows[j] for j in order])
+        train = TimeSeriesDataset(0.1, (block,), tuple(manifest))
+        cfg = PrefilterConfig(dedupe_corr_threshold=threshold)
+        expected_kept, expected, _ = dense_rule3(train, cfg)
+        row_block = data.draw(st.sampled_from([1, 3, prefilter_module.ROW_BLOCK, 10**6]), label="ROW_BLOCK")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(prefilter_module, "ROW_BLOCK", row_block)
+            report = prefilter(train, cfg)
+        assert_rule3_matches(report, expected_kept, expected)
 
 
 class TestRowBlocks:
     """Rules 1 to 3 work through blocks of ``ROW_BLOCK`` rows, and hold one
-    unit-row matrix and one Gram matrix beyond their input."""
+    unit-row matrix beyond their input, and the Gram matrix of only the rows
+    within the dedupe threshold of another, never that of all the kept rows."""
 
     @staticmethod
     def removed_by_rule(report):
@@ -384,7 +446,8 @@ class TestRowBlocks:
 
     def test_memory_beyond_the_input(self, wide_csv_split):
         """The traced peak stays within one (candidates x samples) matrix, one
-        (kept by rule 2)^2 matrix, and a few hundred bytes of bookkeeping per
+        (rows within the threshold of another)^2 matrix, one block of
+        ``ROW_BLOCK`` x candidates, and a few hundred bytes of bookkeeping per
         candidate (lists, records and per-candidate vectors)."""
         train, _ = wide_csv_split
         tracemalloc.start()
@@ -394,6 +457,7 @@ class TestRowBlocks:
         finally:
             tracemalloc.stop()
         candidates = len(train.candidate_indices)
-        gram = len(report.kept) + self.removed_by_rule(report)["duplicate"]
-        matrices = 8 * (candidates * train.data.shape[1] + gram * gram)
+        _, _, active = dense_rule3(train, PrefilterConfig())
+        assert 0 < active < len(report.kept) / 2
+        matrices = 8 * (candidates * train.data.shape[1] + active * active + prefilter_module.ROW_BLOCK * candidates)
         assert peak <= matrices + 256 * candidates, peak / matrices

@@ -151,7 +151,7 @@ def test_cached_subsets_start_no_pool(coupled_split, coupled_kept, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a worker pool started for cached subsets")
 
-    monkeypatch.setattr(selection, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
     assert evaluate_subsets(subsets, ev, workers=2) == serial
     assert ev.fit_count == fits
 

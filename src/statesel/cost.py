@@ -85,14 +85,25 @@ def cost(
         raise DatasetError("cost needs at least one column")
     if scales.sigma_x.shape[0] != n or scales.sigma_y.shape[0] != p:
         raise DatasetError("scales do not match prediction dimensions")
+    j_state = float(scaled_mse(pred_x, true_x, scales.sigma_x))
+    j_output = float(scaled_mse(pred_y, true_y, scales.sigma_y))
+    return CostBreakdown(J=j_state + j_output, J_state=j_state, J_output=j_output, n=n, p=p, L=L)
+
+
+def scaled_mse(
+    pred: np.ndarray, true: np.ndarray, sigma: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Mean of ``((pred - true) / sigma)^2`` over each trailing ``rows x L``
+    block, ``sigma`` one scale per row: one pairwise sum per block, so a
+    block of a stack scores as it does alone. ``out`` may be ``pred``, which
+    then holds the squared errors."""
     # a diverged prediction overflows here; its J is inf or NaN, which the
     # evaluator scores as infeasible
     with np.errstate(over="ignore", invalid="ignore"):
-        ex = (pred_x - true_x) / scales.sigma_x[:, None]
-        ey = (pred_y - true_y) / scales.sigma_y[:, None]
-        j_state = float(np.sum(ex * ex) / (n * L))
-        j_output = float(np.sum(ey * ey) / (p * L))
-    return CostBreakdown(J=j_state + j_output, J_state=j_state, J_output=j_output, n=n, p=p, L=L)
+        e = np.subtract(pred, true, out=out)
+        e /= sigma[..., None]
+        e *= e
+        return e.sum(axis=(-2, -1)) / (e.shape[-2] * e.shape[-1])
 
 
 @dataclass(frozen=True)

@@ -414,12 +414,8 @@ def split(ds: TimeSeriesDataset, spec: SplitSpec) -> tuple[TimeSeriesDataset, Ti
     return make(train_parts), make(test_parts)
 
 
-def assemble_snapshots(ds: TimeSeriesDataset, state_idx: Iterable[int]) -> SnapshotSet:
-    """Stack one-step-shifted snapshot pairs for the chosen state channels.
-
-    Each realization with ``l`` steps contributes ``l - 1`` column pairs, in
-    realization order; no pair crosses a realization boundary.
-    """
+def check_states(ds: TimeSeriesDataset, state_idx: Iterable[int]) -> list[int]:
+    """``state_idx`` as a list, checked to name at least one channel, each a candidate."""
     state_idx = list(state_idx)
     if not state_idx:
         raise DatasetError("state_idx must be nonempty")
@@ -430,6 +426,16 @@ def assemble_snapshots(ds: TimeSeriesDataset, state_idx: Iterable[int]) -> Snaps
                 f"state channel {ds.manifest[i].name!r} has role {role!r}; "
                 "states must be candidate channels"
             )
+    return state_idx
+
+
+def assemble_snapshots(ds: TimeSeriesDataset, state_idx: Iterable[int]) -> SnapshotSet:
+    """Stack one-step-shifted snapshot pairs for the chosen state channels.
+
+    Each realization with ``l`` steps contributes ``l - 1`` column pairs, in
+    realization order; no pair crosses a realization boundary.
+    """
+    state_idx = check_states(ds, state_idx)
     data, k = ds.data, ds.pairs
     return SnapshotSet(
         X=data[np.ix_(state_idx, k)],

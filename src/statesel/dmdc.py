@@ -13,17 +13,22 @@ pool's stacked snapshots, ``Q`` never formed, whose triangular factor holds,
 for every subset of the pool, a snapshot set of ``min(L, pool + inputs)``
 columns with the singular values and least-squares solutions of the
 ``L``-column one. A fit then costs the same whatever ``L`` is, and no Gram
-matrix is formed. ``fit_model`` fits a subset from the reduction of a pool
-that holds it, by default the subset itself. The same subset fitted from two
-pools agrees to round-off, not bit for bit. The QR takes the stack
-``QR_COLUMNS`` columns at a time, so it makes no copy of the whole stack.
+matrix is formed. The same subset fitted from two pools agrees to round-off,
+not bit for bit. The QR gathers the stack ``QR_COLUMNS`` columns at a time
+straight from the recording, so it makes no copy of the whole stack.
 
-Open-loop rollout of every realization is one call: a prefix scan in the
-Schur basis of ``Ad`` over all realizations side by side, about
-``2 log2 K`` small batched matrix products and no step loop. A model's real
-Schur factorization is computed by its first rollout and reused by the rest;
-it is built with numpy alone, by orthogonal deflation from the eigenvectors
-of ``Ad``.
+Subsets are fitted, factored and rolled out in stacks of one size:
+``fit_stack`` fits a stack from one pool's factor, or from each subset's
+own (``pool_factor`` of a stack, one stacked QR), with one stacked SVD of
+``[X; V]`` and one of ``X``; ``real_schur`` factors the stack's ``Ad``;
+``rollout_stack`` rolls every realization of every model out in one prefix
+scan in the Schur basis, about ``2 log2 K`` batched matrix products and no
+step loop. Every product runs per model on operands of the shape and
+strides it has alone, so each model of a stack is bit for bit what it is
+alone. ``fit_model`` and ``rollout`` are the stacks of one; a model's real
+Schur factors are computed by its first rollout and reused by the rest.
+The Schur factors are built with numpy alone, by orthogonal deflation from
+the eigenvectors of ``Ad``.
 
 Only ``c2d_zoh`` needs scipy (``scipy.linalg.expm``) and imports it itself,
 so fitting and rolling out load no scipy module; only the generators do.
@@ -38,7 +43,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .datamodel import SnapshotSet, TimeSeriesDataset, assemble_snapshots, read_json, write_json
+from .datamodel import SnapshotSet, TimeSeriesDataset, check_states, read_json, write_json
 from .errors import DatasetError, DegenerateSnapshots
 
 
@@ -95,54 +100,121 @@ class StateSpaceModel:
 
     @cached_property
     def _schur(self) -> tuple[np.ndarray, np.ndarray]:
-        """Real Schur factors ``(T, Q)`` of ``Ad``, computed once per model:
-        ``Ad = Q T Q'``, ``Q`` orthogonal, ``T`` upper quasi-triangular.
+        """Real Schur factors ``(T, Q)`` of ``Ad`` (see ``real_schur``),
+        computed once per model."""
+        T, Q = real_schur(self.Ad[None])
+        return T[0], Q[0]
 
-        Orthogonal deflation (Golub & Van Loan, 7.4), with numpy alone. The
-        eigenvectors of a diagonal block of ``T`` (``Ad`` at first), in
-        LAPACK's order, make a basis whose leading columns span invariant
-        subspaces: ``Re v`` for a real eigenvalue, ``Re v`` and ``Im v`` for a
-        complex pair. QR turns it into an orthogonal ``H``, applied to ``T``
-        and ``Q``. If every entry below the 1 x 1 and pair blocks is then at
-        most ``4 n eps max|Ad|``, they are set to 0: one ``eig`` and one QR
-        for most models. Otherwise, near a defective eigenvalue, only the
-        first eigenvector's block is deflated and the rest is factored again,
-        as is a 2 x 2 block whose eigenvalues are real. The 2 x 2 blocks are
-        not put into LAPACK's standardized form, which the rollout's scan
-        does not need.
-        """
-        n = self.n_states
-        T, Q, todo = self.Ad.copy(), np.eye(n), [(0, n)]
-        tol = 4 * n * np.finfo(float).eps * np.abs(T).max(initial=0.0)
-        while todo:
-            k, e = todo.pop()
-            if e - k == 2:
-                a, b, c, d = T[k:e, k:e].ravel().tolist()
-                s = max(abs(a), abs(b), abs(c), abs(d)) or 1.0
-                if ((a - d) / s) ** 2 + 4 * (b / s) * (c / s) < -1e-12:
-                    continue  # a complex pair
-            elif e - k < 2:
-                continue
-            # LAPACK returns the eigenvalues in the order of its own Schur form
-            # of the balanced block, so the first j eigenvectors span invariant
-            # subspaces, and the first is that form's first Schur vector
-            w, v = np.linalg.eig(T[k:e, k:e])
-            if e - k == 2 and w[0].imag:
+
+# A 2 x 2 diagonal block is a complex pair when its discriminant over its
+# largest entry squared is below _PAIR_EDGE. The stacked step reads that in
+# numpy, whose square may round apart from Python's ``** 2`` by about 1e-15,
+# so it leaves a block within _PAIR_GUARD of the edge to _deflate.
+_PAIR_EDGE = -1e-12
+_PAIR_GUARD = 1e-14
+
+
+def _pair_discriminant(a, b, c, d):
+    """``((a - d)^2 + 4 b c) / s^2`` of the blocks ``[[a, b], [c, d]]``, with
+    ``s`` their largest absolute entry, or 1 for a zero block."""
+    s = np.maximum.reduce([np.abs(a), np.abs(b), np.abs(c), np.abs(d)])
+    s = np.where(s == 0, 1.0, s)
+    return ((a - d) / s) ** 2 + 4 * (b / s) * (c / s)
+
+
+def _deflate(Ad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real Schur factors ``(T, Q)`` of one ``Ad`` by orthogonal deflation
+    (Golub & Van Loan, 7.4), with numpy alone. The eigenvectors of a diagonal
+    block of ``T`` (``Ad`` at first), in LAPACK's order, make a basis whose
+    leading columns span invariant subspaces: ``Re v`` for a real eigenvalue,
+    ``Re v`` and ``Im v`` for a complex pair. QR turns it into an orthogonal
+    ``H``, applied to ``T`` and ``Q``. If every entry below the 1 x 1 and pair
+    blocks is then at most ``4 n eps max|Ad|``, they are set to 0: one ``eig``
+    and one QR for most models. Otherwise, near a defective eigenvalue, only
+    the first eigenvector's block is deflated and the rest is factored again,
+    as is a 2 x 2 block whose eigenvalues are real. The 2 x 2 blocks are not
+    put into LAPACK's standardized form, which the rollout's scan does not
+    need.
+    """
+    n = len(Ad)
+    T, Q, todo = Ad.copy(), np.eye(n), [(0, n)]
+    tol = 4 * n * np.finfo(float).eps * np.abs(T).max(initial=0.0)
+    while todo:
+        k, e = todo.pop()
+        if e - k == 2:
+            a, b, c, d = T[k:e, k:e].ravel().tolist()
+            s = max(abs(a), abs(b), abs(c), abs(d)) or 1.0
+            if ((a - d) / s) ** 2 + 4 * (b / s) * (c / s) < _PAIR_EDGE:
                 continue  # a complex pair
-            H = np.linalg.qr(np.where(w.imag < 0, v.imag, v.real))[0]
-            T[k:e, k:] = H.T @ T[k:e, k:]
-            T[:e, k:e] = T[:e, k:e] @ H
-            Q[:, k:e] = Q[:, k:e] @ H
-            i, W = np.arange(e - k), T[k:e, k:e]
-            below = i[:, None] > i + (w.imag > 0)  # below the 1 x 1 and pair blocks
-            if np.abs(W[below]).max() <= tol:  # every eigenvector deflates
-                W[below] = 0.0
-                todo += [(k + j, k + j + 2) for j in np.flatnonzero(w.imag > 0).tolist()]
-            else:  # the first one always does
-                f = k + 1 + int(w[0].imag > 0)
-                T[f:e, k:f] = 0.0
-                todo += [(k, f), (f, e)]
+        elif e - k < 2:
+            continue
+        # LAPACK returns the eigenvalues in the order of its own Schur form
+        # of the balanced block, so the first j eigenvectors span invariant
+        # subspaces, and the first is that form's first Schur vector
+        w, v = np.linalg.eig(T[k:e, k:e])
+        if e - k == 2 and w[0].imag:
+            continue  # a complex pair
+        H = np.linalg.qr(np.where(w.imag < 0, v.imag, v.real))[0]
+        T[k:e, k:] = H.T @ T[k:e, k:]
+        T[:e, k:e] = T[:e, k:e] @ H
+        Q[:, k:e] = Q[:, k:e] @ H
+        i, W = np.arange(e - k), T[k:e, k:e]
+        below = i[:, None] > i + (w.imag > 0)  # below the 1 x 1 and pair blocks
+        if np.abs(W[below]).max() <= tol:  # every eigenvector deflates
+            W[below] = 0.0
+            todo += [(k + j, k + j + 2) for j in np.flatnonzero(w.imag > 0).tolist()]
+        else:  # the first one always does
+            f = k + 1 + int(w[0].imag > 0)
+            T[f:e, k:f] = 0.0
+            todo += [(k, f), (f, e)]
+    return T, Q
+
+
+def real_schur(Ad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real Schur factors ``(T, Q)`` of each matrix of an ``N x n x n`` stack:
+    ``Ad[i] = Q[i] T[i] Q[i]'``, ``Q[i]`` orthogonal, ``T[i]`` upper
+    quasi-triangular; each is bit for bit what ``_deflate`` gives alone.
+
+    ``_deflate``'s first step, on the whole of ``Ad``, is taken for the stack
+    at once: one ``eig``, one QR and the products ``H' Ad H`` and ``I H``,
+    each stacked. A matrix is finished there when that step deflates every
+    eigenvector and leaves each pair block clearly complex, as it does for
+    most; any other is factored again alone by ``_deflate``.
+    """
+    N, n = Ad.shape[:2]
+    T, Q = Ad.copy(), np.tile(np.eye(n), (N, 1, 1))
+    if n < 2:
         return T, Q
+    tol = 4 * n * np.finfo(float).eps * np.abs(Ad).max(axis=(1, 2))
+    alone, i = np.zeros(N, dtype=bool), np.arange(N)
+    if n == 2:  # _deflate first asks whether Ad is a complex pair
+        disc = _pair_discriminant(Ad[:, 0, 0], Ad[:, 0, 1], Ad[:, 1, 0], Ad[:, 1, 1])
+        alone = np.abs(disc - _PAIR_EDGE) < _PAIR_GUARD
+        i = np.flatnonzero(disc >= _PAIR_EDGE + _PAIR_GUARD)
+    w, v = np.linalg.eig(Ad[i])
+    if n == 2:  # which eig may still find
+        real = w[:, 0].imag == 0
+        i, w, v = i[real], w[real], v[real]
+    H = np.linalg.qr(np.where(w.imag[:, None, :] < 0, v.imag, v.real))[0]
+    Ti = np.swapaxes(H, 1, 2) @ Ad[i] @ H
+    Q[i] = np.eye(n) @ H
+    pairs = w.imag > 0
+    below = np.arange(n)[:, None] > np.arange(n) + pairs[:, None, :]
+    done = np.where(below, np.abs(Ti), 0.0).max(axis=(1, 2)) <= tol[i]
+    Ti[below] = 0.0
+    m, j = np.nonzero(pairs)
+    disc = _pair_discriminant(Ti[m, j, j], Ti[m, j, j + 1], Ti[m, j + 1, j], Ti[m, j + 1, j + 1])
+    done[m[disc >= _PAIR_EDGE - _PAIR_GUARD]] = False
+    T[i] = Ti
+    alone[i[~done]] = True
+    for k in np.flatnonzero(alone).tolist():
+        T[k], Q[k] = _deflate(Ad[k])
+    return T, Q
+
+
+def _truncation_rank(s: np.ndarray, policy: TruncationPolicy) -> np.ndarray:
+    """``truncated_svd``'s ``q`` for each row of singular values ``s``."""
+    return np.sum((s > 0) & (s[..., :1] < policy.max_condition * s), axis=-1)
 
 
 def truncated_svd(M: np.ndarray, policy: TruncationPolicy) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
@@ -159,7 +231,7 @@ def truncated_svd(M: np.ndarray, policy: TruncationPolicy) -> tuple[np.ndarray, 
     if M.size == 0 or not np.any(M):
         raise DegenerateSnapshots("matrix is identically zero")
     U, s, Wt = np.linalg.svd(M, full_matrices=False)
-    q = int(np.sum((s > 0) & (s[0] < policy.max_condition * s)))
+    q = int(_truncation_rank(s, policy))
     if q == 0:
         raise DegenerateSnapshots("no singular values survive the condition cap")
     return U[:, :q], s[:q], Wt[:q].T, q
@@ -199,20 +271,26 @@ def fit_output_map(X: np.ndarray, Y: np.ndarray, policy: TruncationPolicy | None
 QR_COLUMNS = 1024
 
 
-def triangular_factor(blocks: Sequence[np.ndarray], k: int) -> np.ndarray:
-    """The first ``k`` rows of ``R`` in the Householder QR ``M^T = Q R`` of the
-    row blocks ``M = [blocks]``, each with ``L`` columns; ``Q`` is not formed.
+def triangular_factor(
+    ds: TimeSeriesDataset, rows: np.ndarray, k: int, step: int | np.ndarray = 0
+) -> np.ndarray:
+    """The first ``k`` rows of ``R`` in the Householder QR ``M^T = Q R`` of
+    the snapshot rows ``M[i] = data[rows[i], pairs + step[i]]`` of ``ds``
+    (``step`` 0 or 1 per row); ``Q`` is not formed. For a stack of rows
+    ``(N, r)``, each row set is factored alone, in one stacked QR.
 
-    ``QR_COLUMNS`` columns of ``M`` at a time are factored together with the
-    ``R`` so far, so the QR makes no ``L``-column copy of ``M``. A zero column
-    of ``M`` stays exactly zero in ``R``.
+    ``QR_COLUMNS`` columns of ``M`` at a time are gathered straight from the
+    recording and factored together with the ``R`` so far, so the QR makes
+    no ``L``-column copy of ``M``. A zero column of ``M`` stays exactly zero
+    in ``R``.
     """
-    L = blocks[0].shape[1]
-    R = np.zeros((0, sum(len(b) for b in blocks)))
-    for a in range(0, L, QR_COLUMNS):
-        chunk = np.vstack([b[:, a : a + QR_COLUMNS] for b in blocks]).T
-        R = np.linalg.qr(np.vstack([R, chunk]), mode="r")
-    return R[:k]
+    rows = np.asarray(rows)
+    windows = np.lib.stride_tricks.sliding_window_view(ds.data, 2, axis=1)  # [c, t, s] = data[c, t + s]
+    R = np.zeros(rows.shape[:-1] + (0, rows.shape[-1]))
+    for a in range(0, len(ds.pairs), QR_COLUMNS):
+        chunk = windows[rows[..., None, :], ds.pairs[a : a + QR_COLUMNS, None], step]
+        R = np.linalg.qr(np.concatenate([R, chunk], axis=-2) if R.shape[-2] else chunk, mode="r")
+    return R[..., :k, :]
 
 
 def channel_rows(channels: Sequence[int], state_idx: Sequence[int]) -> list[int]:
@@ -246,9 +324,8 @@ class PoolReduction:
 
     @classmethod
     def of(cls, ds: TimeSeriesDataset, pool: Sequence[int]) -> "PoolReduction":
-        s = assemble_snapshots(ds, pool)
-        R = triangular_factor([s.X, s.V, s.Xp, s.Y], len(s.X) + len(s.V))
-        return cls(tuple(pool), len(s.V), R)
+        pool = check_states(ds, pool)
+        return cls(tuple(pool), len(ds.input_indices), pool_factor(ds, np.array(pool)))
 
     def snapshots(self, state_idx: Sequence[int]) -> SnapshotSet:
         """The ``k``-column snapshot set of the pool channels ``state_idx``."""
@@ -262,6 +339,63 @@ class PoolReduction:
         )
 
 
+def pool_factor(ds: TimeSeriesDataset, pools: np.ndarray) -> np.ndarray:
+    """``PoolReduction.R`` of the pool ``pools`` (``c`` channels), or of each
+    pool of a stack ``(N, c)``, in one stacked QR."""
+    c, ins, outs = pools.shape[-1], ds.input_indices, ds.output_indices
+    each = lambda channels: np.broadcast_to(channels, pools.shape[:-1] + (len(channels),))
+    rows = [pools, each(ins), pools, each(outs)]
+    step = np.repeat([0, 0, 1, 0], [c, len(ins), c, len(outs)])
+    return triangular_factor(ds, np.concatenate(rows, axis=-1), c + len(ins), step)
+
+
+def fit_stack(
+    R: np.ndarray, c: int, m: int, rows: np.ndarray | None, policy: TruncationPolicy | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The models of a stack of subsets of ``n`` states, fitted as
+    ``fit_dynamics`` and ``fit_output_map`` fit each alone, bit for bit.
+
+    The snapshots are those ``PoolReduction.snapshots`` reads: of the pool
+    rows ``rows`` (``N x n``) of one pool's factor ``R`` (``k x (2c + m +
+    p)``), or, with ``rows`` None, of all ``c = n`` states of each subset's
+    own factor ``R[i]`` (``N x k x (2n + m + p)``). Returns ``(Ad, Bd, Cd,
+    fitted)``; a subset not ``fitted`` is degenerate (its ``[X; V]`` or ``X``
+    truncates to rank 0) and its matrices are zero.
+
+    The two SVDs are stacked. The products are taken per group of equal
+    truncation rank, so each has the shape it has alone, on operands with
+    the strides they have alone: BLAS rounds differently for other shapes,
+    leading dimensions or transpositions.
+    """
+    policy = policy or TruncationPolicy()
+    cols = np.arange(c) if rows is None else rows
+    pick = (lambda j: np.swapaxes(R[..., j], 1, 2)) if rows is None else (lambda j: R.T[j])
+    X, Xp = (np.ascontiguousarray(pick(j)) for j in (cols, c + m + cols))
+    N, n, k = X.shape
+    V = np.swapaxes(R[..., c : c + m], -1, -2)
+    omega = np.concatenate([X, np.broadcast_to(V, (N, m, k))], axis=1)
+    U, s, Wt = np.linalg.svd(omega, full_matrices=False)
+    Ux, sx, Wtx = np.linalg.svd(X, full_matrices=False)
+    q, qx = _truncation_rank(s, policy), _truncation_rank(sx, policy)
+    fitted = (q > 0) & (qx > 0) & omega.any(axis=(1, 2)) & X.any(axis=(1, 2))
+    y = slice(2 * c + m, None)
+    Ad, Bd, Cd = np.zeros((N, n, n)), np.zeros((N, n, m)), np.zeros((N, R.shape[-1] - y.start, n))
+    for r in sorted(set(q[fitted].tolist())):
+        g = np.flatnonzero(fitted & (q == r))
+        P = Xp[g] @ (np.swapaxes(Wt[g][:, :r], 1, 2) / s[g, None, :r])
+        Ug = U[g][:, :, :r]
+        Ad[g] = P @ np.swapaxes(Ug[:, :n], 1, 2)
+        Bd[g] = P @ np.swapaxes(Ug[:, n:], 1, 2)
+    for r in sorted(set(qx[fitted].tolist())):
+        g = np.flatnonzero(fitted & (qx == r))
+        Y = np.swapaxes((R if rows is not None else R[g])[..., y], -1, -2)
+        Cd[g] = Y @ (np.swapaxes(Wtx[g][:, :r], 1, 2) / sx[g, None, :r]) @ np.swapaxes(Ux[g][:, :, :r], 1, 2)
+    for name, M in (("Ad", Ad), ("Bd", Bd), ("Cd", Cd)):
+        if not np.all(np.isfinite(M)):
+            raise ValueError(f"{name} contains non-finite entries")
+    return Ad, Bd, Cd, fitted
+
+
 def fit_model(
     ds: TimeSeriesDataset,
     state_idx: Sequence[int],
@@ -269,17 +403,19 @@ def fit_model(
     reduction: PoolReduction | None = None,
 ) -> StateSpaceModel:
     """Fit the full model of the chosen states from the reduction of a pool
-    that holds them; by default the pool is ``state_idx`` itself."""
+    that holds them; by default the pool is ``state_idx`` itself. A stack of
+    one for ``fit_stack``."""
     state_idx = list(state_idx)
     reduction = reduction or PoolReduction.of(ds, state_idx)
-    snaps = reduction.snapshots(state_idx)
-    Ad, Bd = fit_dynamics(snaps, policy)
-    Cd = fit_output_map(snaps.X, snaps.Y, policy)
+    rows = np.array([channel_rows(reduction.channels, state_idx)])
+    Ad, Bd, Cd, fitted = fit_stack(reduction.R, len(reduction.channels), reduction.n_inputs, rows, policy)
+    if not fitted[0]:
+        raise DegenerateSnapshots("the snapshots are identically zero or truncate to rank 0")
     names = ds.names
     return StateSpaceModel(
-        Ad=Ad,
-        Bd=Bd,
-        Cd=Cd,
+        Ad=Ad[0],
+        Bd=Bd[0],
+        Cd=Cd[0],
         state_names=tuple(names[i] for i in state_idx),
         input_names=tuple(names[i] for i in ds.input_indices),
         output_names=tuple(names[i] for i in ds.output_indices),
@@ -299,19 +435,8 @@ def rollout(
     the initial conditions are not included. Rolling several realizations out
     in one call gives each the columns it would get on its own to round-off
     only: the batched products run on arrays of another shape, so about one
-    cell in a hundred can differ, by a few parts in 1e15.
-
-    With ``Ad = Q T Q'`` (real Schur), the segments are laid side by side in
-    a ``segments x n x longest`` array ``Z``, zero past each segment's end;
-    column ``k`` of a segment starts as ``Q' Bd v(k)`` (plus ``T Q' x0`` at
-    ``k = 0``); for ``s = 1, 2, 4, ...`` below the longest segment every
-    segment adds ``T^s`` times its column ``k - s``, in one batched product,
-    and ``Xh = Q Z``. Padding only ever feeds later padding. The factors are
-    the model's, so ``Ad`` is factored once per model. Squaring the
-    triangular ``T``, not ``Ad``, keeps a non-normal ``Ad`` accurate. Once
-    ``T^s`` overflows the model has diverged: every state of a segment is NaN
-    or inf from its column ``s`` on, even if a mode no input reaches keeps the
-    loop finite; a segment of ``s`` steps or fewer is not touched.
+    cell in a hundred can differ, by a few parts in 1e15. The model's stack
+    of one for ``rollout_stack``, with the Schur factors it keeps.
     """
     x0 = np.asarray(x0, dtype=float)
     x0 = x0[:, None] if x0.ndim == 1 else x0
@@ -326,18 +451,53 @@ def rollout(
     if x0.shape[1] != len(spans) or K and (bounds[0] != 0 or any(a >= b for a, b in spans)):
         raise ValueError(f"starts {bounds[:-1]} must rise from 0 below {K}, one per x0 column")
     T, Q = model._schur
-    BV = (Q.T @ model.Bd) @ V
-    Z = np.zeros((len(spans), model.n_states, max(b - a for a, b in spans)))
+    Xh, Yh = rollout_stack(T[None], Q[None], model.Bd[None], model.Cd[None], x0[None], V, starts)
+    return Xh[0], Yh[0]
+
+
+def rollout_stack(
+    T: np.ndarray,
+    Q: np.ndarray,
+    Bd: np.ndarray,
+    Cd: np.ndarray,
+    x0: np.ndarray,
+    V: np.ndarray,
+    starts: Sequence[int],
+) -> tuple[np.ndarray, np.ndarray]:
+    """``rollout`` of each model of a stack, from the real Schur factors
+    ``Ad[i] = Q[i] T[i] Q[i]'``, its ``Bd[i]``, ``Cd[i]`` and its initial
+    states ``x0[i]`` (``N x n x segments``), all driven by ``V``; returns
+    ``(N x n x K, N x p x K)``. Each model's columns are bit for bit those of
+    its stack of one: every product runs per model, on operands of the
+    shape and strides it has alone.
+
+    The segments of every model are laid side by side in an ``N x segments x
+    n x longest`` array ``Z``, zero past each segment's end; column ``k`` of
+    a segment starts as ``Q' Bd v(k)`` (plus ``T Q' x0`` at ``k = 0``); for
+    ``s = 1, 2, 4, ...`` below the longest segment every segment adds
+    ``T^s`` times its column ``k - s``, in one batched product, and ``Xh =
+    Q Z``. Padding only ever feeds later padding. Squaring the triangular
+    ``T``, not ``Ad``, keeps a non-normal ``Ad`` accurate. Once ``T^s``
+    overflows the model has diverged: every state of a segment is NaN or inf
+    from its column ``s`` on, even if a mode no input reaches keeps the loop
+    finite; a segment of ``s`` steps or fewer is not touched.
+    """
+    bounds = [int(a) for a in starts] + [V.shape[1]]
+    spans = list(zip(bounds, bounds[1:]))
+    Qt = np.swapaxes(Q, 1, 2)
+    BV = (Qt @ Bd) @ V
+    Z = np.zeros((len(T), len(spans), T.shape[1], max(b - a for a, b in spans)))
     for r, (a, b) in enumerate(spans):
-        Z[r, :, : b - a] = BV[:, a:b]
-    Z[:, :, :1] += (T @ (Q.T @ x0)).T[:, :, None]  # empty when K = 0
-    P, s = T, 1
+        Z[:, r, :, : b - a] = BV[..., a:b]
+    del BV
+    Z[..., :1] += np.swapaxes(T @ (Qt @ x0), 1, 2)[..., None]  # empty when K = 0
+    P, s = T[:, None], 1
     with np.errstate(over="ignore", invalid="ignore"):
-        while s < Z.shape[2]:
-            Z[:, :, s:] += P @ Z[:, :, :-s]
+        while s < Z.shape[-1]:
+            Z[..., s:] += P @ Z[..., :-s]
             P, s = P @ P, 2 * s
-        Xh = Q @ np.concatenate([Z[r, :, : b - a] for r, (a, b) in enumerate(spans)], axis=1)
-        Yh = model.Cd @ Xh
+        Xh = Q @ np.concatenate([Z[:, r, :, : b - a] for r, (a, b) in enumerate(spans)], axis=-1)
+        Yh = Cd @ Xh
     return Xh, Yh
 
 

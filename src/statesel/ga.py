@@ -5,8 +5,9 @@ the training cost of a model fitted on the set bits. A population is one
 boolean matrix, a row per chromosome. Each generation applies elitism,
 tournament selection (size 2), uniform crossover on a fraction of the
 offspring, per-bit mutation and a repair step that enforces
-``1 <= popcount <= max_states`` to the whole matrix, then queries the
-evaluator once per distinct mask. A restart stops early once the best cost
+``1 <= popcount <= max_states`` to the whole matrix, then scores the whole
+matrix with one batch query of the evaluator, which fits each distinct mask
+it has not cached once, in stacks. A restart stops early once the best cost
 has stalled; the best result across restarts wins.
 
 Randomness is drawn from per-restart generators pre-split from one seed, so
@@ -89,7 +90,9 @@ def repair(masks: np.ndarray, cap: int, rng: np.random.Generator) -> np.ndarray:
     over = count > cap
     if over.any():
         keys = np.where(rows[over], rng.random((int(over.sum()), rows.shape[1])), np.inf)
-        rows[over] = np.argsort(np.argsort(keys, axis=1), axis=1) < cap  # cap lowest keys
+        kept = np.zeros(keys.shape, dtype=bool)
+        np.put_along_axis(kept, np.argsort(keys, axis=1)[:, :cap], True, axis=1)  # cap lowest keys
+        rows[over] = kept
     empty = np.flatnonzero(count == 0)
     rows[empty, rng.integers(0, rows.shape[1], size=empty.size)] = True
     return masks
@@ -105,13 +108,10 @@ def _rank(population: np.ndarray, fitness: np.ndarray) -> np.ndarray:
 
 
 def _fitness(population: np.ndarray, pool: np.ndarray, evaluator: SubsetEvaluator) -> np.ndarray:
-    """Cost of each row, with one ``evaluate`` call per distinct mask; a
-    subset not in the cache is fitted from the pool's reduction, if the pool
-    has one."""
-    masks, inverse = np.unique(population, axis=0, return_inverse=True)
-    whole = tuple(pool.tolist())
-    js = np.array([evaluator.evaluate(tuple(pool[m].tolist()), whole) for m in masks])
-    return js[inverse.reshape(-1)]  # numpy 2.0.0 returns the inverse as a column
+    """Cost of each row, a bit row over the sorted pool, from one batch
+    query; each distinct subset not in the cache is fitted once, from the
+    pool's reduction if the pool has one."""
+    return evaluator.costs(population, tuple(pool.tolist()))
 
 
 def _run_restart(
@@ -144,7 +144,8 @@ def _run_restart(
     best_trace = [best_key[0]]
 
     for gen in range(1, max_generations + 1):
-        rank = np.argsort(order)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(size)
         contest = rng.integers(0, size, size=(2, n_offspring, 2))
         first_wins = rank[contest[..., 0]] <= rank[contest[..., 1]]
         parents = population[np.where(first_wins, contest[..., 0], contest[..., 1])]
@@ -176,8 +177,8 @@ def ga_select(
     """Best-of-restarts GA search over the kept candidate pool.
 
     Restarts are independent and may run in parallel. Each generation of a
-    restart queries ``evaluator`` once per distinct mask in its population;
-    a mask's cost, cached or not, is the one fitted from the reduction of
+    restart queries ``evaluator`` once, for its whole population; a mask's
+    cost, cached or not, is the one fitted from the reduction of
     ``pool``, or from its own snapshots if ``pool`` is too wide to be
     reduced. Restarts run in workers inherit the evaluator as it stood when
     the workers started, the pool's reduction included, and what they fit

@@ -112,7 +112,7 @@ def _output_factor(
     survivors ``S`` of the pool have ``X_S^T = Q1 R11[:, S]`` and
     ``Q1^T Y^T = R12``, so their output map is fitted from ``k`` columns, not
     ``L``, with the singular values of the ``L``-column fit."""
-    R = triangular_factor([train.data[np.ix_(pool + outputs, train.pairs)]], len(pool))
+    R = triangular_factor(train, np.array(pool + outputs), len(pool))
     return R[:, : len(pool)], R[:, len(pool) :]
 
 

@@ -14,13 +14,19 @@ and kept under the sorted pool: its ``RolloutTruth`` (the rows a rollout is
 scored against), its ``PoolReduction`` (the triangular factor every subset of
 it is fitted from) unless it is wider than ``REDUCED_POOL_MAX``, whose subsets
 are fitted from their own snapshots, and ``costs``, the cost of each subset
-scored from it, keyed by the sorted subset: the caller's own tuple when that
-is sorted already. Queries that name no pool share a record without either.
-A subset is scored by one rollout of all its realizations. Fits from
-different pools agree to round-off, not bit for bit, so a query reads only
-the costs of the pool it names, whatever other searches ran before it. The
-winner's reported model and costs come from one fit on its own snapshots,
-whatever pool found it.
+scored from it, keyed by the subset's bit row over the pool's sorted
+channels, packed into bytes. Queries that name no pool share a record
+without either, whose rows span every channel.
+
+A search makes one batch query (``costs``) of bit rows: the sweep once, each
+GA generation once, each worker chunk once. The distinct rows the record
+lacks are scored in stacks of subsets of one size, each stack with one
+stacked fit, Schur factorization, rollout and cost, and each cost bit for bit
+the one its subset gets alone. A subset is scored by one rollout of all its
+realizations. Fits from different pools agree to round-off, not bit for bit,
+so a query reads only the costs of the pool it names, whatever other
+searches ran before it. The winner's reported model and costs come from one
+fit on its own snapshots, whatever pool found it.
 
 So a cost is a pure function of (training data, pool, subset,
 configuration): a search's result depends neither on the searches before it
@@ -41,10 +47,19 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .cost import ChannelScales, CostBreakdown, RolloutTruth, pooled_std, rollout_cost
-from .datamodel import TimeSeriesDataset
-from .dmdc import PoolReduction, StateSpaceModel, TruncationPolicy, fit_model
-from .errors import DegenerateSnapshots
+from .cost import ChannelScales, CostBreakdown, RolloutTruth, pooled_std, rollout_cost, scaled_mse
+from .datamodel import TimeSeriesDataset, check_states
+from .dmdc import (
+    PoolReduction,
+    StateSpaceModel,
+    TruncationPolicy,
+    fit_model,
+    fit_stack,
+    pool_factor,
+    real_schur,
+    rollout_stack,
+)
+from .errors import DatasetError, DegenerateSnapshots
 
 INFEASIBLE = float("inf")
 
@@ -86,27 +101,69 @@ class SelectionResult:
 
 @dataclass(slots=True)
 class SearchedPool:
-    """One searched pool's reduction (None if too wide), rollout truth (None
-    only for no pool) and the cost of every subset scored from it, keyed by
-    the sorted subset; None marks a degenerate fit."""
+    """One searched pool's sorted channels (every channel of the training
+    set for no pool), reduction (None if too wide, or for no pool), rollout
+    truth (None only for no pool) and the cost of every subset scored from
+    it, keyed by the subset's packed bit row over ``channels``; None marks a
+    degenerate or diverged fit."""
 
+    channels: tuple[int, ...]
     reduction: PoolReduction | None = None
     truth: RolloutTruth | None = None
-    costs: dict[tuple[int, ...], CostBreakdown | None] = field(default_factory=dict)
+    costs: dict[bytes, CostBreakdown | None] = field(default_factory=dict)
+
+    def masks(self, subsets: Sequence[Sequence[int]]) -> np.ndarray:
+        """One boolean row over ``channels`` per subset: its bit row. A
+        subset names channels of the pool, at least one, each once."""
+        pool = np.array(self.channels)
+        masks = np.zeros((len(subsets), len(pool)), dtype=bool)
+        sizes = np.fromiter(map(len, subsets), int, len(subsets))
+        for size in sorted(set(sizes.tolist())):
+            at = np.flatnonzero(sizes == size)
+            for a in range(0, len(at), MASK_BLOCK):  # a block at a time, to bound the temporaries
+                rows = at[a : a + MASK_BLOCK]
+                idx = np.array([subsets[i] for i in rows.tolist()], dtype=int).reshape(len(rows), size)
+                pos = np.searchsorted(pool, idx).clip(max=len(pool) - 1)
+                if not np.array_equal(pool[pos], idx):
+                    missing = sorted(set(idx[pool[pos] != idx].tolist()))
+                    raise DatasetError(f"channel(s) {missing} are not in the pool {list(pool)}")
+                masks[rows[:, None], pos] = True
+        if not (sizes.all() and np.array_equal(masks.sum(axis=1), sizes)):
+            raise DatasetError("a subset must name one channel or more, each once")
+        return masks
+
+    def keys(self, masks: np.ndarray) -> list[bytes]:
+        """The key of each bit row: its packed bytes."""
+        packed = np.packbits(masks, axis=1)
+        return packed.view(np.dtype((np.void, packed.shape[1]))).ravel().tolist()
+
+    def rows(self, keys: list[bytes]) -> np.ndarray:
+        """The bit row (as 0 or 1) of each key."""
+        packed = np.frombuffer(b"".join(keys), dtype=np.uint8).reshape(len(keys), -1)
+        return np.unpackbits(packed, axis=1, count=len(self.channels))
 
 
-def _sorted(subset: Sequence[int]) -> tuple[int, ...]:
-    """``subset`` as the key its cost is stored under: the caller's own tuple
-    when it is sorted already, so the cache holds no copy of it."""
-    key = tuple(sorted(subset))
-    return subset if type(subset) is tuple and key == subset else key
+# Subsets a batch query turns into bit rows, and then scores, at a time.
+MASK_BLOCK = 2**14
+
+# Elements of a stack's rollout: subsets x states x padded steps. A stack's
+# other temporaries are a few arrays as large, and for subsets fitted from
+# their own snapshots the QR's chunk, (2 states + inputs + outputs) x
+# min(L, QR_COLUMNS) per subset: about 4 rollouts for the wide GA's 3-state
+# subsets. On rlc-both (seed 1, 1 600 padded steps) 2**15 made no more page
+# faults than scoring one subset at a time; 2**16 and 2**17 made 7 400 more
+# (32 MB of pages mapped afresh by malloc), for 20 ms of system time, and no
+# less user time.
+STACK_ELEMENTS = 2**15
 
 
 class SubsetEvaluator:
     """Fit-and-score pipeline for candidate subsets on a fixed training set.
 
-    ``fit_count`` counts the model fits made in this process, cache misses
-    and winner fits alike; fits made by pool workers are not counted.
+    ``costs`` and ``breakdowns`` score a batch of bit rows over a pool's
+    channels; ``evaluate``, ``breakdown`` and ``fit`` are queries of one.
+    ``fit_count`` counts the models fitted in this process, each subset of a
+    stack and each winner alike; fits made by pool workers are not counted.
     """
 
     def __init__(
@@ -121,7 +178,7 @@ class SubsetEvaluator:
         self.std = pooled_std(train)
         self._sigma_y = np.maximum(self.std[list(train.output_indices)], scale_floor)
         # the sorted pool, or None for no pool -> its record
-        self._pools: dict[tuple[int, ...] | None, SearchedPool] = {None: SearchedPool()}
+        self._pools = {None: SearchedPool(tuple(range(train.n_channels)))}
         self._named: tuple[tuple[int, ...] | None, SearchedPool | None] = (None, None)
         self.fit_count = 0
 
@@ -138,7 +195,7 @@ class SubsetEvaluator:
             key = tuple(sorted(set(pool)))
             if key not in self._pools:
                 reduction = PoolReduction.of(self.train, key) if len(key) <= REDUCED_POOL_MAX else None
-                self._pools[key] = SearchedPool(reduction, RolloutTruth.of(self.train, key))
+                self._pools[key] = SearchedPool(key, reduction, RolloutTruth.of(self.train, key))
             self._named = (pool, self._pools[key])
         return self._named[1]
 
@@ -153,29 +210,77 @@ class SubsetEvaluator:
         self.fit_count += 1
         return fit_model(self.train, list(subset), self.policy, self.searched_pool(pool).reduction)
 
-    def breakdown(
-        self, subset: Sequence[int], pool: Sequence[int] | None = None
-    ) -> CostBreakdown | None:
-        """Training cost of ``subset`` fitted as ``fit`` does, or None if the
-        fit is degenerate. Memoized in ``pool``'s record: a query that names
-        another pool never reads this cost."""
+    def breakdowns(self, masks: np.ndarray, pool: Sequence[int] | None = None) -> list[CostBreakdown | None]:
+        """Training cost of the subset of each bit row of ``masks`` (over the
+        sorted channels of ``pool``'s record), fitted as ``fit`` does, or None
+        if the fit is degenerate or its rollout diverges. Memoized in
+        ``pool``'s record: a query that names another pool never reads these
+        costs. The distinct rows not in the record are scored in stacks."""
         record = self.searched_pool(pool)
-        key = _sorted(subset)
-        if key in record.costs:
-            return record.costs[key]
-        try:
-            result = rollout_cost(self.fit(key, pool), record.truth or self.train, key, self.scales_for(key))
-            if not math.isfinite(result.J):
-                result = None
-        except DegenerateSnapshots:
-            result = None
-        record.costs[key] = result
-        return result
+        out: list[CostBreakdown | None] = []
+        for a in range(0, len(masks), MASK_BLOCK):  # a block at a time, to bound the temporaries
+            keys = record.keys(masks[a : a + MASK_BLOCK])
+            new = list(dict.fromkeys(k for k in keys if k not in record.costs))
+            if new:
+                self._score(record, new)
+            out += map(record.costs.__getitem__, keys)
+        return out
+
+    def costs(self, masks: np.ndarray, pool: Sequence[int] | None = None) -> np.ndarray:
+        """``breakdowns`` as costs; degenerate or diverging fits score +inf."""
+        return np.array([INFEASIBLE if b is None else b.J for b in self.breakdowns(masks, pool)])
+
+    def breakdown(self, subset: Sequence[int], pool: Sequence[int] | None = None) -> CostBreakdown | None:
+        """``breakdowns`` of one subset, named by its channels in any order."""
+        return self.breakdowns(self.searched_pool(pool).masks([subset]), pool)[0]
 
     def evaluate(self, subset: Sequence[int], pool: Sequence[int] | None = None) -> float:
         """Training cost as a scalar; degenerate or diverging fits score +inf."""
         b = self.breakdown(subset, pool)
         return INFEASIBLE if b is None else b.J
+
+    def _score(self, record: SearchedPool, keys: list[bytes]) -> None:
+        """Score the subsets of ``keys``, not in the record yet, in stacks of
+        one size, at most ``STACK_ELEMENTS`` elements each, and store their
+        costs in the record."""
+        masks = record.rows(keys)
+        sizes = masks.sum(axis=1)
+        steps = self.train.n_realizations * max(r.shape[1] for r in self.train.realizations)
+        for n in sorted(set(sizes.tolist())):
+            at = np.flatnonzero(sizes == n)
+            size = max(1, STACK_ELEMENTS // (n * steps))
+            for a in range(0, len(at), size):
+                stack = at[a : a + size]
+                pos = np.nonzero(masks[stack])[1].reshape(len(stack), n)
+                record.costs.update(zip([keys[i] for i in stack.tolist()], self._score_stack(record, pos)))
+        self.fit_count += len(keys)
+
+    def _score_stack(self, record: SearchedPool, pos: np.ndarray) -> list[CostBreakdown | None]:
+        """Cost of each subset of a stack, at the positions ``pos`` (``N x
+        n``) in the record's channels, each bit for bit what it costs alone:
+        one stacked fit, Schur factorization, rollout and cost."""
+        train, (N, n) = self.train, pos.shape
+        channels = np.array(record.channels)[pos]
+        m = len(train.input_indices)
+        used = sorted(set(channels.ravel().tolist()))
+        if record.reduction is not None:
+            Ad, Bd, Cd, fitted = fit_stack(record.reduction.R, len(record.channels), m, pos, self.policy)
+        else:  # each subset from its own snapshots
+            check_states(train, used)
+            Ad, Bd, Cd, fitted = fit_stack(pool_factor(train, channels), n, m, None, self.policy)
+        truth = record.truth or RolloutTruth.of(train, used)  # no pool: the stack's channels
+        rows = np.searchsorted(truth.channels, channels[fitted])
+        T, Q = real_schur(Ad[fitted])
+        Xh, Yh = rollout_stack(T, Q, Bd[fitted], Cd[fitted], truth.x0[rows], truth.V, truth.starts)
+        sigma_x = np.maximum(self.std[channels[fitted]], self.scale_floor)
+        j_state = scaled_mse(Xh, truth.Xp[rows], sigma_x, out=Xh).tolist()
+        j_output = scaled_mse(Yh, truth.Yp, self._sigma_y, out=Yh).tolist()
+        p, L = Yh.shape[1:]
+        out: list[CostBreakdown | None] = [None] * N
+        for i, js, jo in zip(np.flatnonzero(fitted).tolist(), j_state, j_output):
+            if math.isfinite(js + jo):
+                out[i] = CostBreakdown(J=js + jo, J_state=js, J_output=jo, n=n, p=p, L=L)
+        return out
 
 
 def subset_key(j: float, subset: Sequence[int]) -> tuple[float, int, tuple[int, ...]]:
@@ -245,9 +350,9 @@ def _map_in_workers(
 
 
 def _breakdowns(
-    chunk: list[tuple[int, ...]], pool: tuple[int, ...] | None, *, evaluator: SubsetEvaluator
+    masks: np.ndarray, pool: tuple[int, ...] | None, *, evaluator: SubsetEvaluator
 ) -> list[CostBreakdown | None]:
-    return [evaluator.breakdown(s, pool) for s in chunk]
+    return evaluator.breakdowns(masks, pool)
 
 
 def evaluate_subsets(
@@ -256,26 +361,30 @@ def evaluate_subsets(
     workers: int = 1,
     pool: Sequence[int] | None = None,
 ) -> list[float]:
-    """Score many subsets of ``pool``, optionally across processes.
+    """Score many subsets of ``pool``, in one batch query, optionally
+    across processes.
 
     Workers score only the distinct subsets missing from the costs of
-    ``pool``'s record, and their breakdowns are stored there. The returned
-    list is aligned with ``subsets`` regardless of scheduling, so any
-    reduction over it is worker-count independent.
+    ``pool``'s record, one batch query per chunk, and their breakdowns are
+    stored there. The returned list is aligned with ``subsets`` regardless
+    of scheduling, so any reduction over it is worker-count independent.
     """
     # one tuple for every query, so each finds the pool's record without sorting it
     pool = None if pool is None else tuple(pool)
     record = evaluator.searched_pool(pool)
+    masks = record.masks(subsets)
     todo = []
     if workers > 1:
-        todo = [k for k in dict.fromkeys(map(_sorted, subsets)) if k not in record.costs]
+        todo = list(dict.fromkeys(k for k in record.keys(masks) if k not in record.costs))
     if len(todo) >= 4:
         size = math.ceil(len(todo) / (workers * 4))
         chunks = [todo[i : i + size] for i in range(0, len(todo), size)]
-        parts = _map_in_workers(partial(_breakdowns, pool=pool), chunks, workers, evaluator, pool)
+        parts = _map_in_workers(
+            partial(_breakdowns, pool=pool), [record.rows(c) for c in chunks], workers, evaluator, pool
+        )
         for chunk, part in zip(chunks, parts):
             record.costs.update(zip(chunk, part))
-    return [evaluator.evaluate(s, pool) for s in subsets]
+    return [INFEASIBLE if b is None else b.J for b in evaluator.breakdowns(masks, pool)]
 
 
 def run_restarts(

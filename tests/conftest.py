@@ -23,8 +23,16 @@ from statesel.datamodel import (
     ingest,
     split,
 )
-from statesel.cost import cost
-from statesel.dmdc import TruncationPolicy, c2d_zoh, fit_dynamics, fit_output_map
+from statesel.cost import CostBreakdown, RolloutTruth, cost
+from statesel.dmdc import (
+    PoolReduction,
+    TruncationPolicy,
+    _deflate,
+    c2d_zoh,
+    channel_rows,
+    fit_dynamics,
+    fit_output_map,
+)
 from statesel.errors import DatasetError, DegenerateSnapshots, DuplicateChannel
 from statesel.prefilter import prefilter
 from statesel.rfe import importance
@@ -418,3 +426,52 @@ def pooled_std_per_realization(ds):
     reduction over an F-ordered stack sums in another order and rounds
     differently once a row holds more than a few columns."""
     return np.hstack([np.ascontiguousarray(a) for a in ds.realizations]).std(axis=1)
+
+
+def scan_alone(T, Q, Bd, Cd, x0, V, starts):
+    """One model's rollout by the doubling scan in its Schur basis, with
+    no stack axis: the oracle for ``dmdc.rollout_stack``, which must give
+    each model of a stack exactly these columns."""
+    bounds = [int(a) for a in starts] + [V.shape[1]]
+    spans = list(zip(bounds, bounds[1:]))
+    BV = (Q.T @ Bd) @ V
+    Z = np.zeros((len(spans), len(T), max(b - a for a, b in spans)))
+    for r, (a, b) in enumerate(spans):
+        Z[r, :, : b - a] = BV[:, a:b]
+    Z[:, :, :1] += (T @ (Q.T @ x0)).T[:, :, None]
+    P, s = T, 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        while s < Z.shape[2]:
+            Z[:, :, s:] += P @ Z[:, :, :-s]
+            P, s = P @ P, 2 * s
+        Xh = Q @ np.concatenate([Z[r, :, : b - a] for r, (a, b) in enumerate(spans)], axis=1)
+        return Xh, Cd @ Xh
+
+
+def chain_breakdown(evaluator, subset, pool=None):
+    """The training cost of one subset by the per-subset chain, each step
+    on its own: ``fit_dynamics`` and ``fit_output_map`` on the snapshots of
+    ``pool``'s reduction (or of the subset's own), ``_deflate``'s Schur
+    factors, ``scan_alone`` and the cost's formula; None if the fit is
+    degenerate or the rollout diverges. The oracle for the evaluator's
+    stacks, which must match it bit for bit."""
+    key = sorted(subset)
+    record = evaluator.searched_pool(pool)
+    snaps = (record.reduction or PoolReduction.of(evaluator.train, key)).snapshots(key)
+    try:
+        Ad, Bd = fit_dynamics(snaps, evaluator.policy)
+        Cd = fit_output_map(snaps.X, snaps.Y, evaluator.policy)
+    except DegenerateSnapshots:
+        return None
+    truth = record.truth or RolloutTruth.of(evaluator.train, key)
+    rows = channel_rows(truth.channels, key)
+    Xh, Yh = scan_alone(*_deflate(Ad), Bd, Cd, truth.x0[rows], truth.V, truth.starts)
+    scales = evaluator.scales_for(key)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ex = (Xh - truth.Xp[rows]) / scales.sigma_x[:, None]
+        ey = (Yh - truth.Yp) / scales.sigma_y[:, None]
+        j_state = float(np.sum(ex * ex) / ex.size)
+        j_output = float(np.sum(ey * ey) / ey.size)
+    if not math.isfinite(j_state + j_output):
+        return None
+    return CostBreakdown(j_state + j_output, j_state, j_output, len(key), len(Yh), Yh.shape[1])

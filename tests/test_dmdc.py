@@ -19,13 +19,15 @@ from statesel.dmdc import (
     fit_model,
     fit_output_map,
     load_model,
+    real_schur,
     rollout,
+    rollout_stack,
     save_model,
     truncated_svd,
 )
 from statesel.errors import DegenerateSnapshots
 
-from conftest import direct_fit, fit_tol, random_stable_discrete, simulate_discrete
+from conftest import direct_fit, fit_tol, random_stable_discrete, scan_alone, simulate_discrete
 
 
 def make_model(Ad, Bd, Cd, dt=0.1):
@@ -450,6 +452,64 @@ class TestRolloutScan:
             Xh, Yh = rollout(model, x0, V)
         assert np.max(np.abs(Xh[:, :32] - loop[:, :32])) < 1e-15
         assert np.all(np.isnan(Xh[:, 32:])) and np.all(np.isnan(Yh[:, 32:]))
+
+
+class TestStacks:
+    """A stack of models is factored and rolled out bit for bit as each
+    model is alone: by ``_deflate`` and by ``scan_alone`` (conftest)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        kinds=st.lists(st.sampled_from(TestSchur.KINDS), min_size=1, max_size=6),
+        n=st.integers(min_value=1, max_value=8),
+        scale=st.sampled_from([1e-200, 1.0, 1e200]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_schur_matches_each_model_alone(self, kinds, n, scale, seed):
+        rng = np.random.default_rng(seed)
+        Ad = np.stack([draw_ad(kind, n, rng) * scale for kind in kinds])
+        T, Q = real_schur(Ad)
+        for A, Tk, Qk in zip(Ad, T, Q):
+            want = dmdc._deflate(A)
+            assert np.array_equal(Tk, want[0]) and np.array_equal(Qk, want[1])
+
+    def test_defective_models_are_factored_alone(self, monkeypatch):
+        # the first deflation step fails near a defective eigenvalue, and
+        # only those models go to _deflate; a model's own _schur is the
+        # stack of one
+        rng = np.random.default_rng(7)
+        kinds = ["stable", "complex", "unstable"] * 3 + ["jordan", "near", "nilpotent", "pairs"] * 5
+        Ad = np.stack([draw_ad(kind, 4, rng) for kind in kinds])
+        deflate, alone = dmdc._deflate, []
+        monkeypatch.setattr(dmdc, "_deflate", lambda A: alone.append(A) or deflate(A))
+        T, Q = real_schur(Ad)
+        assert 0 < len(alone) <= 20 and not any(np.array_equal(A, a) for A in Ad[:9] for a in alone)
+        assert all(np.array_equal(T[k], make_model(A, np.zeros((4, 0)), np.zeros((0, 4)))._schur[0])
+                   for k, A in enumerate(Ad))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kinds=st.lists(st.sampled_from(["stable", "unstable", "jordan", "complex", "rotation", "zero"]),
+                       min_size=1, max_size=5),
+        n=st.integers(min_value=1, max_value=6),
+        m=st.integers(min_value=0, max_value=2),
+        lengths=st.lists(st.integers(min_value=1, max_value=300), min_size=1, max_size=3),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_rollout_matches_each_model_alone(self, kinds, n, m, lengths, seed):
+        rng = np.random.default_rng(seed)
+        N, p = len(kinds), int(rng.integers(1, 3))
+        Ad = np.stack([draw_ad(kind, n, rng) for kind in kinds])
+        Bd, Cd = rng.standard_normal((N, n, m)), rng.standard_normal((N, p, n))
+        x0, V = rng.standard_normal((N, n, len(lengths))), rng.standard_normal((m, sum(lengths)))
+        starts = np.cumsum([0] + lengths[:-1]).tolist()
+        T, Q = real_schur(Ad)
+        Xh, Yh = rollout_stack(T, Q, Bd, Cd, x0, V, starts)
+        for k in range(N):
+            want = scan_alone(T[k], Q[k], Bd[k], Cd[k], x0[k], V, starts)
+            alone = rollout(make_model(Ad[k], Bd[k], Cd[k]), x0[k], V, starts)
+            for got, w, a in zip((Xh[k], Yh[k]), want, alone):
+                assert np.array_equal(got, w, equal_nan=True) and np.array_equal(a, w, equal_nan=True)
 
 
 def reduced_fit(ds, pool, subset, policy):

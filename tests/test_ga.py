@@ -127,19 +127,23 @@ class TestRank:
 
 
 class CountingEvaluator:
-    """Evaluator stub: a fixed cost per subset, and a log of every query."""
+    """Evaluator stub: a fixed cost per subset, and a log of every batch
+    query, as the subsets of its bit rows over the sorted pool."""
 
     def __init__(self, cost=lambda s: 1.0 / (1 + sum(s)) + len(s)):
         self.cost = cost
         self.calls = []
 
-    def evaluate(self, subset, pool=None):
-        self.calls.append(tuple(subset))
-        return self.cost(subset)
+    def costs(self, masks, pool):
+        subsets = [tuple(np.array(pool)[m].tolist()) for m in masks]
+        self.calls.append(subsets)
+        return np.array([self.cost(s) for s in subsets])
 
 
 class TestScoring:
-    def test_one_query_per_distinct_mask_each_generation(self, monkeypatch):
+    def test_one_batch_query_each_generation(self, monkeypatch):
+        # the batch holds every row, repeats included: the evaluator fits
+        # each distinct subset once (test_selection)
         ev = CountingEvaluator()
         pool = (2, 3, 5, 7, 11, 13)
         repeats = []  # rows per generation whose mask an earlier row already has
@@ -149,8 +153,8 @@ class TestScoring:
             before = len(ev.calls)
             fitness = fitness_of(population, pool_arr, evaluator)
             subsets = [tuple(pool_arr[row].tolist()) for row in population]
-            calls = ev.calls[before:]
-            assert sorted(calls) == sorted(set(subsets))
+            (batch,) = ev.calls[before:]
+            assert batch == subsets
             assert fitness.tolist() == [ev.cost(s) for s in subsets]
             repeats.append(len(population) - len(set(subsets)))
             return fitness

@@ -5,14 +5,20 @@ import tracemalloc
 import warnings
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from statesel import dmdc, selection
 from statesel.cost import CostBreakdown, RolloutTruth
 from statesel.datamodel import ChannelMeta, TimeSeriesDataset
 from statesel.dmdc import StateSpaceModel
+from statesel.errors import DatasetError
 from statesel.ga import GAConfig, ga_select
 from statesel.rfe import RFEConfig, enumerate_subsets, rfe_select
 from statesel.selection import SubsetEvaluator, evaluate_subsets
+
+from conftest import chain_breakdown, random_stable_discrete, simulate_discrete
 
 
 def small_ga(**kw):
@@ -102,7 +108,7 @@ def test_pool_workers_fit_from_the_parents_factor(coupled_split, coupled_kept, m
     assert evaluate_subsets(subsets, ev, workers=2, pool=pool) == serial
     assert ev.fit_count == 0
     # the workers' breakdowns land in the record the parent factored
-    assert ev.searched_pool(pool) is record and set(record.costs) == set(subsets)
+    assert ev.searched_pool(pool) is record and set(record.costs) == set(record.keys(record.masks(subsets)))
 
 
 def test_wide_pools_are_not_reduced(coupled_split, coupled_kept, monkeypatch):
@@ -137,7 +143,7 @@ def test_wide_pools_are_not_reduced(coupled_split, coupled_kept, monkeypatch):
     assert len(truths) == 1 and wide.truth is truths[0]
     assert wide.truth.channels == tuple(sorted(pool))
     assert wide is not ev.searched_pool(None) and not ev.searched_pool(None).costs
-    assert wide.reduction is None and set(wide.costs) == set(subsets)
+    assert wide.reduction is None and set(wide.costs) == set(wide.keys(wide.masks(subsets)))
     assert ev.searched_pool(pool[:-1]).reduction is not None
 
 
@@ -154,6 +160,11 @@ def test_cached_subsets_start_no_pool(coupled_split, coupled_kept, monkeypatch):
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
     assert evaluate_subsets(subsets, ev, workers=2) == serial
     assert ev.fit_count == fits
+
+
+def fitted(model):
+    """The model's matrices as ``fit_stack`` returns them, a stack of one."""
+    return model.Ad[None], model.Bd[None], model.Cd[None]
 
 
 def test_unexcited_unstable_mode_scores_as_diverged(monkeypatch):
@@ -175,7 +186,7 @@ def test_unexcited_unstable_mode_scores_as_diverged(monkeypatch):
         output_names=("y",),
         dt=0.1,
     )
-    monkeypatch.setattr(ev, "fit", lambda subset, pool=None: model)
+    monkeypatch.setattr(selection, "fit_stack", lambda *args: (*fitted(model), np.array([True])))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert ev.breakdown([2, 3]) is None
@@ -197,36 +208,57 @@ def test_overflow_in_one_realization_scores_as_diverged(monkeypatch):
         Ad=np.array([[5.7]]), Bd=np.array([[1.0]]), Cd=np.array([[1.0]]),
         state_names=("a",), input_names=("u",), output_names=("y",), dt=0.1,
     )
-    monkeypatch.setattr(ev, "fit", lambda subset, pool=None: model)
+    monkeypatch.setattr(selection, "fit_stack", lambda *args: (*fitted(model), np.array([True])))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert ev.breakdown([2], pool=[2]) is None
     assert ev.evaluate([2]) == math.inf
 
 
-def test_a_cost_is_stored_under_the_callers_sorted_tuple(coupled_split, coupled_kept):
-    """A sorted tuple is the key itself, serial or from workers; any other
-    query is stored under a sorted copy."""
+def test_a_cost_is_stored_under_its_packed_bit_row(coupled_split, coupled_kept):
+    """A subset's key is its bit row over the pool's sorted channels, packed
+    into bytes, serial or from workers: a query names the subset by its
+    channels in any order and reads the one cost stored."""
     train, _ = coupled_split
     pool = tuple(coupled_kept[:6])
     subsets = enumerate_subsets(pool, 2)
     for workers in (1, 2):
         ev = SubsetEvaluator(train)
-        evaluate_subsets(subsets, ev, workers=workers, pool=pool)
-        stored = {key: key for key in ev.searched_pool(pool).costs}
-        assert all(stored[s] is s for s in subsets)
-    unsorted = (pool[3], pool[0], pool[1])
-    ev.evaluate(unsorted, pool)
-    ev.evaluate(list(pool[3:]), pool)
-    stored = {key: key for key in ev.searched_pool(pool).costs}
-    assert stored[tuple(sorted(unsorted))] is not unsorted
-    assert type(stored[pool[3:]]) is tuple
+        evaluate_subsets(subsets, ev, workers=workers, pool=pool[::-1])
+        record = ev.searched_pool(pool)
+        assert record.channels == tuple(sorted(pool))
+        want = [bytes([sum(0x80 >> record.channels.index(c) for c in s)]) for s in subsets]
+        assert record.keys(record.masks(subsets)) == want and set(record.costs) == set(want)
+    fits = ev.fit_count
+    assert ev.evaluate((pool[3], pool[0]), pool) == ev.evaluate((pool[0], pool[3]), pool)
+    assert ev.fit_count == fits
+
+
+def test_a_batch_is_aligned_with_its_input(coupled_split, coupled_kept):
+    """A batch query scores unsorted and repeated subsets as single queries
+    of a fresh evaluator do, in the caller's order, each distinct subset
+    fitted once; a subset that names a channel outside the pool, none or one
+    twice is refused."""
+    train, _ = coupled_split
+    pool = coupled_kept[:5]
+    subsets = [(pool[2], pool[0]), (pool[4],), (pool[0], pool[2]), (pool[1], pool[3], pool[0]), (pool[4],)]
+    ev = SubsetEvaluator(train)
+    record = ev.searched_pool(pool)
+    js = ev.costs(record.masks(subsets), pool)
+    alone = SubsetEvaluator(train)
+    assert js.tolist() == [alone.evaluate(s, pool) for s in subsets]
+    assert ev.fit_count == 3 and len(record.costs) == 3
+    assert evaluate_subsets(subsets[::-1], ev, pool=pool) == js[::-1].tolist()
+    for bad in ([coupled_kept[5]], [], [pool[0], pool[0]]):
+        with pytest.raises(DatasetError):
+            record.masks([bad])
 
 
 def test_a_cached_cost_holds_no_copy_of_its_pool_or_subset(monkeypatch):
-    """Scoring 4 047 distinct subsets of an 18-channel pool, with the fit and
-    the rollout stubbed, leaves at most 250 bytes per cached cost: the cost
-    and its dict slot, but no copy of the pool or of the caller's subset."""
+    """Scoring 4 047 distinct subsets of an 18-channel pool in one batch,
+    with the stacks' scoring stubbed, leaves at most 250 bytes per cached
+    cost: the cost, its packed key and its dict slot, but no copy of the
+    pool or of the caller's subset."""
     manifest = tuple(
         ChannelMeta(f"c{j}", ("input", "output")[j] if j < 2 else "candidate") for j in range(20)
     )
@@ -235,21 +267,80 @@ def test_a_cached_cost_holds_no_copy_of_its_pool_or_subset(monkeypatch):
     pool = tuple(range(2, 20))
     subsets = enumerate_subsets(pool, 4)
     assert len(subsets) == 4047
-    monkeypatch.setattr(ev, "fit", lambda subset, pool=None: None)
     monkeypatch.setattr(
-        selection,
-        "rollout_cost",
-        lambda model, data, subset, scales: CostBreakdown(
-            J=len(subset) / 7, J_state=len(subset) / 11, J_output=len(subset) / 13, n=len(subset), p=1, L=59
-        ),
+        ev,
+        "_score_stack",
+        lambda record, pos: [
+            CostBreakdown(J=len(s) / 7, J_state=len(s) / 11, J_output=len(s) / 13, n=len(s), p=1, L=59)
+            for s in pos
+        ],
     )
     ev.evaluate(subsets[0], pool)  # the pool's reduction, made once
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        for s in subsets[1:]:
-            ev.evaluate(s, pool)
+        evaluate_subsets(subsets[1:], ev, pool=pool)
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
+    assert len(ev.searched_pool(pool).costs) == len(subsets)
     assert held / (len(subsets) - 1) < 250
+
+
+def chain_dataset(rng, c):
+    """A stable 3-state system with 1 input and 2 outputs over a realization
+    of 30 steps and 1 or 2 of 300 to 450, seen through ``c`` candidates:
+    random mixtures of its states, except that the second is twice the
+    first (so the subsets holding both truncate), the third is identically
+    zero (degenerate) and the fourth grows as ``10^k`` over the short
+    realization and is noise elsewhere (its fits diverge)."""
+    Ad, Bd, Cd = random_stable_discrete(rng, 3, 1, 2)
+    reals = []
+    for r, steps in enumerate([30] + rng.integers(300, 450, rng.integers(1, 3)).tolist()):
+        V = rng.standard_normal((1, steps))
+        X = simulate_discrete(Ad, Bd, V[:, :-1], rng.standard_normal(3))
+        cand = rng.standard_normal((c, 3)) @ X
+        if c > 1:
+            cand[1] = 2.0 * cand[0]
+        if c > 2:
+            cand[2] = 0.0
+        if c > 3:
+            cand[3] = 10.0 ** np.arange(steps) if r == 0 else rng.standard_normal(steps)
+        reals.append(np.vstack([V, Cd @ X, cand]))
+    manifest = [ChannelMeta("u", "input"), ChannelMeta("y0", "output"), ChannelMeta("y1", "output")]
+    manifest += [ChannelMeta(f"c{j}", "candidate") for j in range(c)]
+    return TimeSeriesDataset(0.1, tuple(reals), tuple(manifest))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    c=st.integers(min_value=1, max_value=10),
+    mode=st.sampled_from(["reduced", "wide", "none"]),
+)
+def test_stacked_costs_match_the_per_subset_chain(seed, c, mode):
+    """Subsets of every size of a pool, scored in one batch query, cost bit
+    for bit what the per-subset chain gives each alone: from the pool's
+    reduction, from their own snapshots when the pool is too wide to be
+    reduced, or with no pool named."""
+    rng = np.random.default_rng(seed)
+    train = chain_dataset(rng, c)
+    pool = list(train.candidate_indices)
+    subsets = [
+        tuple(rng.choice(pool, size, replace=False).tolist())
+        for size in range(1, c + 1)
+        for _ in range(min(4, math.comb(c, size)))
+    ]
+    named = None if mode == "none" else pool
+    with pytest.MonkeyPatch.context() as m:
+        if mode == "wide":
+            m.setattr(selection, "REDUCED_POOL_MAX", 0)
+        ev = SubsetEvaluator(train)
+        js = evaluate_subsets(subsets, ev, pool=named)
+        assert (ev.searched_pool(named).reduction is None) == (mode != "reduced")
+        for s, j in zip(subsets, js):
+            want = chain_breakdown(ev, s, named)
+            assert ev.breakdown(s, named) == want, s
+            assert j == (math.inf if want is None else want.J), s
+    special = [chain_breakdown(ev, [i], named) for i in pool[2:4]]
+    assert special == [None] * len(special)  # the zero channel is degenerate, the growing one diverges

@@ -199,9 +199,14 @@ class SnapshotSet:
 
 
 def read_json(path: str | Path) -> dict:
-    """The JSON object in ``path``; a file that holds none is named."""
+    """The JSON object in ``path``; a file that holds none, or that holds
+    ``NaN`` or ``Infinity`` (which are not JSON), is named."""
+
+    def refuse(constant: str):
+        raise DatasetError(f"{path}: {constant} is not a JSON value")
+
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8-sig"))
+        doc = json.loads(Path(path).read_text(encoding="utf-8-sig"), parse_constant=refuse)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DatasetError(f"{path}: not a JSON document: {exc}") from exc
     if not isinstance(doc, dict):

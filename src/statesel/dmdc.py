@@ -25,8 +25,7 @@ own (``pool_factor`` of a stack, one stacked QR), with one stacked SVD of
 scan in the Schur basis, about ``2 log2 K`` batched matrix products and no
 step loop. Every product runs per model on operands of the shape and
 strides it has alone, so each model of a stack is bit for bit what it is
-alone. ``fit_model`` and ``rollout`` are the stacks of one; a model's real
-Schur factors are computed by its first rollout and reused by the rest.
+alone. ``fit_model`` and ``rollout`` are the stacks of one.
 The Schur factors are built with numpy alone, by orthogonal deflation from
 the eigenvectors of ``Ad``.
 
@@ -37,7 +36,6 @@ so fitting and rolling out load no scipy module; only the generators do.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -97,13 +95,6 @@ class StateSpaceModel:
     @property
     def n_states(self) -> int:
         return self.Ad.shape[0]
-
-    @cached_property
-    def _schur(self) -> tuple[np.ndarray, np.ndarray]:
-        """Real Schur factors ``(T, Q)`` of ``Ad`` (see ``real_schur``),
-        computed once per model."""
-        T, Q = real_schur(self.Ad[None])
-        return T[0], Q[0]
 
 
 # A 2 x 2 diagonal block is a complex pair when its discriminant over its
@@ -436,7 +427,7 @@ def rollout(
     in one call gives each the columns it would get on its own to round-off
     only: the batched products run on arrays of another shape, so about one
     cell in a hundred can differ, by a few parts in 1e15. The model's stack
-    of one for ``rollout_stack``, with the Schur factors it keeps.
+    of one for ``rollout_stack``.
     """
     x0 = np.asarray(x0, dtype=float)
     x0 = x0[:, None] if x0.ndim == 1 else x0
@@ -450,8 +441,8 @@ def rollout(
     spans = list(zip(bounds, bounds[1:]))
     if x0.shape[1] != len(spans) or K and (bounds[0] != 0 or any(a >= b for a, b in spans)):
         raise ValueError(f"starts {bounds[:-1]} must rise from 0 below {K}, one per x0 column")
-    T, Q = model._schur
-    Xh, Yh = rollout_stack(T[None], Q[None], model.Bd[None], model.Cd[None], x0[None], V, starts)
+    T, Q = real_schur(model.Ad[None])
+    Xh, Yh = rollout_stack(T, Q, model.Bd[None], model.Cd[None], x0[None], V, starts)
     return Xh[0], Yh[0]
 
 

@@ -74,6 +74,8 @@ class GAConfig:
             raise ValueError("max_generations must not be negative")
         if self.stall_generations < 1:
             raise ValueError("stall_generations must be at least 1")
+        if not self.stall_tolerance >= 0:  # below 0 no restart stalls; NaN stalls every one
+            raise ValueError(f"stall_tolerance must not be negative, got {self.stall_tolerance}")
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
         if self.seed < 0:

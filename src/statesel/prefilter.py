@@ -50,7 +50,7 @@ class PrefilterConfig:
     def __post_init__(self):
         if not 0.0 < self.input_corr_threshold <= 1.0:
             raise ValueError("input_corr_threshold must be in (0, 1]")
-        if self.variance_epsilon < 0:
+        if not self.variance_epsilon >= 0:  # NaN would let every varying channel through
             raise ValueError("variance_epsilon must be nonnegative")
         if not 0.0 < self.dedupe_corr_threshold <= 1.0:
             raise ValueError("dedupe_corr_threshold must be in (0, 1]")

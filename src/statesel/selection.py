@@ -13,10 +13,10 @@ and ``searched_pool`` gives the evaluator's record of it, made on first use
 and kept under the sorted pool: its ``RolloutTruth`` (the rows a rollout is
 scored against), its ``PoolReduction`` (the triangular factor every subset of
 it is fitted from) unless it is wider than ``REDUCED_POOL_MAX``, whose subsets
-are fitted from their own snapshots, and ``costs``, the cost of each subset
-scored from it, keyed by the subset's bit row over the pool's sorted
-channels, packed into bytes. Queries that name no pool share a record
-without either, whose rows span every channel.
+are fitted from their own snapshots, and ``costs``, the cost ``J`` of each
+subset scored from it, one float keyed by the subset's bit row over the
+pool's sorted channels, packed into bytes. Queries that name no pool share a
+record without either, whose rows span every channel.
 
 A search makes one batch query (``costs``) of bit rows: the sweep once, each
 GA generation once, each worker chunk once. The distinct rows the record
@@ -33,8 +33,8 @@ configuration): a search's result depends neither on the searches before it
 nor on where its costs were computed, and every (method, cap) result of a
 run is the one that cap alone writes, for any worker count. A pool's record
 is made in the parent before the workers fork, so every worker fits from the
-parent's factor. ``evaluate_subsets``' workers return breakdowns that land
-in the parent's record; a GA restart run in a worker returns only its result.
+parent's factor. ``evaluate_subsets``' workers return costs that land in
+the parent's record; a GA restart run in a worker returns only its result.
 Workers fit and roll out with numpy alone: nothing is imported before a fork.
 """
 
@@ -60,8 +60,6 @@ from .dmdc import (
     rollout_stack,
 )
 from .errors import DatasetError, DegenerateSnapshots
-
-INFEASIBLE = float("inf")
 
 # The widest pool given a reduction. Its QR costs about as much as
 # (2c / (2s + m + p))^2 fits of s-state subsets from their own snapshots, and
@@ -103,14 +101,14 @@ class SelectionResult:
 class SearchedPool:
     """One searched pool's sorted channels (every channel of the training
     set for no pool), reduction (None if too wide, or for no pool), rollout
-    truth (None only for no pool) and the cost of every subset scored from
-    it, keyed by the subset's packed bit row over ``channels``; None marks a
-    degenerate or diverged fit."""
+    truth (None only for no pool) and the cost ``J`` of every subset scored
+    from it, keyed by the subset's packed bit row over ``channels``; +inf
+    marks a degenerate or diverged fit."""
 
     channels: tuple[int, ...]
     reduction: PoolReduction | None = None
     truth: RolloutTruth | None = None
-    costs: dict[bytes, CostBreakdown | None] = field(default_factory=dict)
+    costs: dict[bytes, float] = field(default_factory=dict)
 
     def masks(self, subsets: Sequence[Sequence[int]]) -> np.ndarray:
         """One boolean row over ``channels`` per subset: its bit row. A
@@ -160,8 +158,9 @@ STACK_ELEMENTS = 2**15
 class SubsetEvaluator:
     """Fit-and-score pipeline for candidate subsets on a fixed training set.
 
-    ``costs`` and ``breakdowns`` score a batch of bit rows over a pool's
-    channels; ``evaluate``, ``breakdown`` and ``fit`` are queries of one.
+    ``costs`` scores a batch of bit rows over a pool's channels and keeps
+    one float per subset; ``evaluate`` is its query of one. ``fit`` fits one
+    model, and ``breakdown`` scores one subset as its winner is scored.
     ``fit_count`` counts the models fitted in this process, each subset of a
     stack and each winner alike; fits made by pool workers are not counted.
     """
@@ -179,25 +178,20 @@ class SubsetEvaluator:
         self._sigma_y = np.maximum(self.std[list(train.output_indices)], scale_floor)
         # the sorted pool, or None for no pool -> its record
         self._pools = {None: SearchedPool(tuple(range(train.n_channels)))}
-        self._named: tuple[tuple[int, ...] | None, SearchedPool | None] = (None, None)
         self.fit_count = 0
 
     def searched_pool(self, pool: Sequence[int] | None) -> SearchedPool:
         """The record of ``pool``, made on first use and kept; a caller that
         forks workers asks for it first, so that the workers inherit it.
         Every pool has its truth; only a pool of at most ``REDUCED_POOL_MAX``
-        channels has a reduction. The last pool named is remembered, so
-        queries that name their pool by one tuple sort it once."""
+        channels has a reduction."""
         if pool is None:
             return self._pools[None]
-        pool = tuple(pool)  # the same object if ``pool`` is a tuple
-        if pool is not self._named[0]:
-            key = tuple(sorted(set(pool)))
-            if key not in self._pools:
-                reduction = PoolReduction.of(self.train, key) if len(key) <= REDUCED_POOL_MAX else None
-                self._pools[key] = SearchedPool(key, reduction, RolloutTruth.of(self.train, key))
-            self._named = (pool, self._pools[key])
-        return self._named[1]
+        key = tuple(sorted(set(pool)))
+        if key not in self._pools:
+            reduction = PoolReduction.of(self.train, key) if len(key) <= REDUCED_POOL_MAX else None
+            self._pools[key] = SearchedPool(key, reduction, RolloutTruth.of(self.train, key))
+        return self._pools[key]
 
     def scales_for(self, subset: Sequence[int]) -> ChannelScales:
         sigma_x = np.maximum(self.std[list(subset)], self.scale_floor)
@@ -210,34 +204,41 @@ class SubsetEvaluator:
         self.fit_count += 1
         return fit_model(self.train, list(subset), self.policy, self.searched_pool(pool).reduction)
 
-    def breakdowns(self, masks: np.ndarray, pool: Sequence[int] | None = None) -> list[CostBreakdown | None]:
-        """Training cost of the subset of each bit row of ``masks`` (over the
-        sorted channels of ``pool``'s record), fitted as ``fit`` does, or None
-        if the fit is degenerate or its rollout diverges. Memoized in
-        ``pool``'s record: a query that names another pool never reads these
-        costs. The distinct rows not in the record are scored in stacks."""
+    def costs(self, masks: np.ndarray, pool: Sequence[int] | None = None) -> np.ndarray:
+        """Training cost ``J`` of the subset of each bit row of ``masks``
+        (over the sorted channels of ``pool``'s record), fitted as ``fit``
+        does, or +inf if the fit is degenerate or its rollout diverges.
+        Memoized in ``pool``'s record: a query that names another pool never
+        reads these costs. The distinct rows not in the record are scored in
+        stacks."""
         record = self.searched_pool(pool)
-        out: list[CostBreakdown | None] = []
+        out: list[float] = []
         for a in range(0, len(masks), MASK_BLOCK):  # a block at a time, to bound the temporaries
             keys = record.keys(masks[a : a + MASK_BLOCK])
             new = list(dict.fromkeys(k for k in keys if k not in record.costs))
             if new:
                 self._score(record, new)
             out += map(record.costs.__getitem__, keys)
-        return out
-
-    def costs(self, masks: np.ndarray, pool: Sequence[int] | None = None) -> np.ndarray:
-        """``breakdowns`` as costs; degenerate or diverging fits score +inf."""
-        return np.array([INFEASIBLE if b is None else b.J for b in self.breakdowns(masks, pool)])
-
-    def breakdown(self, subset: Sequence[int], pool: Sequence[int] | None = None) -> CostBreakdown | None:
-        """``breakdowns`` of one subset, named by its channels in any order."""
-        return self.breakdowns(self.searched_pool(pool).masks([subset]), pool)[0]
+        return np.array(out)
 
     def evaluate(self, subset: Sequence[int], pool: Sequence[int] | None = None) -> float:
-        """Training cost as a scalar; degenerate or diverging fits score +inf."""
-        b = self.breakdown(subset, pool)
-        return INFEASIBLE if b is None else b.J
+        """``costs`` of one subset, named by its channels in any order."""
+        return float(self.costs(self.searched_pool(pool).masks([subset]), pool)[0])
+
+    def breakdown(self, subset: Sequence[int], pool: Sequence[int] | None = None) -> CostBreakdown | None:
+        """Training cost of one subset, named by its channels in any order,
+        with its state and output terms, as a winner is scored: one ``fit``
+        and ``rollout_cost`` against the truth of ``pool`` (of the training
+        set for no pool); None if the fit is degenerate or its rollout
+        diverges. Bit for bit the cost ``costs`` stores; it reads and fills
+        no record. Kept while the benchmark's tracer wraps it by name."""
+        key = sorted(subset)
+        try:
+            model = self.fit(key, pool)
+        except DegenerateSnapshots:
+            return None
+        b = rollout_cost(model, self.searched_pool(pool).truth or self.train, key, self.scales_for(key))
+        return b if math.isfinite(b.J) else None
 
     def _score(self, record: SearchedPool, keys: list[bytes]) -> None:
         """Score the subsets of ``keys``, not in the record yet, in stacks of
@@ -255,10 +256,11 @@ class SubsetEvaluator:
                 record.costs.update(zip([keys[i] for i in stack.tolist()], self._score_stack(record, pos)))
         self.fit_count += len(keys)
 
-    def _score_stack(self, record: SearchedPool, pos: np.ndarray) -> list[CostBreakdown | None]:
-        """Cost of each subset of a stack, at the positions ``pos`` (``N x
-        n``) in the record's channels, each bit for bit what it costs alone:
-        one stacked fit, Schur factorization, rollout and cost."""
+    def _score_stack(self, record: SearchedPool, pos: np.ndarray) -> list[float]:
+        """Cost ``J`` of each subset of a stack, at the positions ``pos``
+        (``N x n``) in the record's channels, each bit for bit what it costs
+        alone (+inf if degenerate or diverged): one stacked fit, Schur
+        factorization, rollout and cost."""
         train, (N, n) = self.train, pos.shape
         channels = np.array(record.channels)[pos]
         m = len(train.input_indices)
@@ -273,14 +275,12 @@ class SubsetEvaluator:
         T, Q = real_schur(Ad[fitted])
         Xh, Yh = rollout_stack(T, Q, Bd[fitted], Cd[fitted], truth.x0[rows], truth.V, truth.starts)
         sigma_x = np.maximum(self.std[channels[fitted]], self.scale_floor)
-        j_state = scaled_mse(Xh, truth.Xp[rows], sigma_x, out=Xh).tolist()
-        j_output = scaled_mse(Yh, truth.Yp, self._sigma_y, out=Yh).tolist()
-        p, L = Yh.shape[1:]
-        out: list[CostBreakdown | None] = [None] * N
-        for i, js, jo in zip(np.flatnonzero(fitted).tolist(), j_state, j_output):
-            if math.isfinite(js + jo):
-                out[i] = CostBreakdown(J=js + jo, J_state=js, J_output=jo, n=n, p=p, L=L)
-        return out
+        J = np.full(N, np.inf)
+        J[fitted] = scaled_mse(Xh, truth.Xp[rows], sigma_x, out=Xh)
+        with np.errstate(over="ignore"):  # two finite terms may sum past the largest float
+            J[fitted] += scaled_mse(Yh, truth.Yp, self._sigma_y, out=Yh)
+        J[~np.isfinite(J)] = np.inf
+        return J.tolist()
 
 
 def subset_key(j: float, subset: Sequence[int]) -> tuple[float, int, tuple[int, ...]]:
@@ -349,10 +349,8 @@ def _map_in_workers(
         return list(executor.map(partial(_call_in_worker, fn), items))
 
 
-def _breakdowns(
-    masks: np.ndarray, pool: tuple[int, ...] | None, *, evaluator: SubsetEvaluator
-) -> list[CostBreakdown | None]:
-    return evaluator.breakdowns(masks, pool)
+def _costs(masks: np.ndarray, pool: Sequence[int] | None, *, evaluator: SubsetEvaluator) -> np.ndarray:
+    return evaluator.costs(masks, pool)
 
 
 def evaluate_subsets(
@@ -365,12 +363,10 @@ def evaluate_subsets(
     across processes.
 
     Workers score only the distinct subsets missing from the costs of
-    ``pool``'s record, one batch query per chunk, and their breakdowns are
+    ``pool``'s record, one batch query per chunk, and their costs are
     stored there. The returned list is aligned with ``subsets`` regardless
     of scheduling, so any reduction over it is worker-count independent.
     """
-    # one tuple for every query, so each finds the pool's record without sorting it
-    pool = None if pool is None else tuple(pool)
     record = evaluator.searched_pool(pool)
     masks = record.masks(subsets)
     todo = []
@@ -380,11 +376,11 @@ def evaluate_subsets(
         size = math.ceil(len(todo) / (workers * 4))
         chunks = [todo[i : i + size] for i in range(0, len(todo), size)]
         parts = _map_in_workers(
-            partial(_breakdowns, pool=pool), [record.rows(c) for c in chunks], workers, evaluator, pool
+            partial(_costs, pool=pool), [record.rows(c) for c in chunks], workers, evaluator, pool
         )
         for chunk, part in zip(chunks, parts):
-            record.costs.update(zip(chunk, part))
-    return [INFEASIBLE if b is None else b.J for b in evaluator.breakdowns(masks, pool)]
+            record.costs.update(zip(chunk, part.tolist()))
+    return evaluator.costs(masks, pool).tolist()
 
 
 def run_restarts(

@@ -521,6 +521,42 @@ class TestJsonDocuments:
         assert f"{spec}: not a JSON document" in capsys.readouterr().err
         assert not (tmp_path / "gen").exists()
 
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_a_constant_that_is_not_json_is_named(self, tmp_path, constant):
+        """``json`` reads NaN and Infinity, which slip past ``<`` and ``>``
+        checks (a manifest's ``dt_seconds`` of Infinity loaded); every
+        document reader refuses them by name."""
+        manifest, model, config, _ = self.documents(tmp_path)
+        edits = (
+            (manifest, load_manifest, lambda doc: doc.update(dt_seconds=0.125)),
+            (model, load_model, lambda doc: doc.update(dt=0.125)),
+            (config, RunConfig.load, lambda doc: doc.update(train_fraction=0.125)),
+        )
+        for path, read, edit in edits:
+            doc = json.loads(path.read_text(encoding="utf-8"))
+            edit(doc)
+            path.write_text(json.dumps(doc).replace("0.125", constant), encoding="utf-8")
+            with pytest.raises(DatasetError, match=f"{re.escape(str(path))}: {constant} is not a JSON value"):
+                read(path)
+
+    @pytest.mark.parametrize(
+        "section",
+        [
+            {"cost": {"scale_floor": float("inf")}},  # every subset scored 0
+            {"prefilter": {"variance_epsilon": float("nan")}},  # rule 1 kept every varying channel
+            {"ga": {"stall_tolerance": float("nan")}},  # every restart stalled
+            {"ga": {"stall_tolerance": float("inf")}},
+            {"ga": {"stall_tolerance": -1}},  # no restart stalled: 100 x genome generations
+        ],
+        ids=["scale_floor_inf", "variance_epsilon_nan", "stall_nan", "stall_inf", "stall_negative"],
+    )
+    def test_a_setting_that_disables_a_rule_is_refused(self, tmp_path, capsys, section):
+        _, _, config, _ = self.documents(tmp_path)
+        config.write_text(json.dumps({**json.loads(config.read_text()), **section}))
+        assert main(["select", "--config", str(config), "--method", "ga", "--cap", "1"]) == 1
+        assert f"error: {config}: " in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize(
         "edit",
         [

@@ -322,8 +322,7 @@ def draw_ad(kind, n, rng):
 def first_overflow(Ad, K):
     """Smallest ``s = 2^j < K`` whose power ``T^s`` of the Schur factor of
     ``Ad``, squared as the scan squares it, is not finite; else ``K``."""
-    n = len(Ad)
-    P, s = make_model(Ad, np.zeros((n, 0)), np.zeros((0, n)))._schur[0], 1
+    P, s = real_schur(np.asarray(Ad, dtype=float)[None])[0][0], 1
     with np.errstate(over="ignore", invalid="ignore"):
         while s < K and np.all(np.isfinite(P)):
             P, s = P @ P, 2 * s
@@ -357,7 +356,7 @@ class TestSchur:
 
     def assert_real_schur(self, Ad):
         n = len(Ad)
-        T, Q = make_model(Ad, np.zeros((n, 0)), np.zeros((0, n)))._schur
+        T, Q = (f[0] for f in real_schur(np.asarray(Ad, dtype=float)[None]))
         assert T.shape == Q.shape == (n, n)
         assert np.max(np.abs(Q.T @ Q - np.eye(n)), initial=0.0) <= 1e-13
         assert schur_error(Ad, T, Q) <= 1e-13
@@ -475,8 +474,7 @@ class TestStacks:
 
     def test_defective_models_are_factored_alone(self, monkeypatch):
         # the first deflation step fails near a defective eigenvalue, and
-        # only those models go to _deflate; a model's own _schur is the
-        # stack of one
+        # only those models go to _deflate; a model alone is the stack of one
         rng = np.random.default_rng(7)
         kinds = ["stable", "complex", "unstable"] * 3 + ["jordan", "near", "nilpotent", "pairs"] * 5
         Ad = np.stack([draw_ad(kind, 4, rng) for kind in kinds])
@@ -484,8 +482,7 @@ class TestStacks:
         monkeypatch.setattr(dmdc, "_deflate", lambda A: alone.append(A) or deflate(A))
         T, Q = real_schur(Ad)
         assert 0 < len(alone) <= 20 and not any(np.array_equal(A, a) for A in Ad[:9] for a in alone)
-        assert all(np.array_equal(T[k], make_model(A, np.zeros((4, 0)), np.zeros((0, 4)))._schur[0])
-                   for k, A in enumerate(Ad))
+        assert all(np.array_equal(T[k], real_schur(A[None])[0][0]) for k, A in enumerate(Ad))
 
     @settings(max_examples=150, deadline=None)
     @given(

@@ -249,8 +249,10 @@ class TestGaSelect:
         assert d["j_restart_best"] <= d["j_restart_median"]
         # the search's cost of the winner, fitted from the pool's reduction
         assert ev.evaluate(res.indices, ds.candidate_indices) == d["j_restart_best"]
-        # the reported cost, of the winner's model fitted from its own snapshots
+        # the reported cost, of the winner's model fitted from its own snapshots,
+        # is bit for bit the cost a search with no pool stores for it
         assert res.j_train == SubsetEvaluator(train).breakdown(res.indices)
+        assert SubsetEvaluator(train).evaluate(res.indices) == res.j_train.J
 
     def test_worker_count_does_not_change_result(self, lti_split):
         ds, train, test = lti_split
@@ -263,7 +265,7 @@ class TestGaSelect:
         one, two = SubsetEvaluator(train), SubsetEvaluator(train)
         assert evaluate_subsets(subsets, one, workers=1) == evaluate_subsets(subsets, two, workers=2)
         assert one.fit_count == len(subsets) and two.fit_count == 0
-        assert all(one.breakdown(s) == two.breakdown(s) for s in subsets)
+        assert all(one.evaluate(s) == two.evaluate(s) for s in subsets)
 
     def test_empty_pool_rejected(self, lti_split):
         _, train, test = lti_split
@@ -327,3 +329,10 @@ class TestGAConfig:
         with pytest.raises(ValueError, match="max_generations"):
             GAConfig(max_states=2, max_generations=-1)
         GAConfig(max_states=2, max_generations=0, stall_generations=1)
+
+    @pytest.mark.parametrize("tol", [-1.0, -1e-9, float("nan")])
+    def test_stall_tolerance_validated(self, tol):
+        # below 0 no restart would ever stall; NaN would stall every restart
+        with pytest.raises(ValueError, match="stall_tolerance"):
+            GAConfig(max_states=2, stall_tolerance=tol)
+        GAConfig(max_states=2, stall_tolerance=0.0)

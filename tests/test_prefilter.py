@@ -195,6 +195,8 @@ def test_config_validation():
         PrefilterConfig(dedupe_corr_threshold=1.5)
     with pytest.raises(ValueError):
         PrefilterConfig(variance_epsilon=-1.0)
+    with pytest.raises(ValueError):  # a prefilter --config string is read by json, which reads NaN
+        PrefilterConfig(variance_epsilon=float("nan"))
 
 
 class TestRule2Oracle:

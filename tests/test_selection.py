@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from statesel import dmdc, selection
-from statesel.cost import CostBreakdown, RolloutTruth
+from statesel.cost import RolloutTruth
 from statesel.datamodel import ChannelMeta, TimeSeriesDataset
 from statesel.dmdc import StateSpaceModel
 from statesel.errors import DatasetError
@@ -78,7 +78,7 @@ def test_costs_are_cached_per_pool(coupled_split, coupled_kept):
     assert ev.fit_count == 3
 
 
-def test_pool_breakdowns_land_in_the_callers_cache(coupled_split, coupled_kept):
+def test_pool_costs_land_in_the_callers_cache(coupled_split, coupled_kept):
     train, _ = coupled_split
     subsets = enumerate_subsets(coupled_kept[:6], 2)
     ev = SubsetEvaluator(train)
@@ -86,7 +86,7 @@ def test_pool_breakdowns_land_in_the_callers_cache(coupled_split, coupled_kept):
     assert ev.fit_count == 0  # every fit ran in a worker
     fresh = SubsetEvaluator(train)
     for s, j in zip(subsets, scores):
-        assert ev.breakdown(s) == fresh.breakdown(s)
+        assert ev.evaluate(s) == fresh.evaluate(s)
         assert j == fresh.evaluate(s)
     assert scores == scores[: len(subsets)] + scores[: len(subsets)][::-1]
     assert ev.fit_count == 0
@@ -107,7 +107,7 @@ def test_pool_workers_fit_from_the_parents_factor(coupled_split, coupled_kept, m
     monkeypatch.setattr(dmdc, "triangular_factor", no_factor)
     assert evaluate_subsets(subsets, ev, workers=2, pool=pool) == serial
     assert ev.fit_count == 0
-    # the workers' breakdowns land in the record the parent factored
+    # the workers' costs land in the record the parent factored
     assert ev.searched_pool(pool) is record and set(record.costs) == set(record.keys(record.masks(subsets)))
 
 
@@ -189,7 +189,7 @@ def test_unexcited_unstable_mode_scores_as_diverged(monkeypatch):
     monkeypatch.setattr(selection, "fit_stack", lambda *args: (*fitted(model), np.array([True])))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert ev.breakdown([2, 3]) is None
+        assert ev.evaluate([2, 3]) == math.inf
     assert ev.evaluate([3, 2]) == math.inf
 
 
@@ -211,7 +211,7 @@ def test_overflow_in_one_realization_scores_as_diverged(monkeypatch):
     monkeypatch.setattr(selection, "fit_stack", lambda *args: (*fitted(model), np.array([True])))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert ev.breakdown([2], pool=[2]) is None
+        assert ev.evaluate([2], pool=[2]) == math.inf
     assert ev.evaluate([2]) == math.inf
 
 
@@ -256,8 +256,8 @@ def test_a_batch_is_aligned_with_its_input(coupled_split, coupled_kept):
 
 def test_a_cached_cost_holds_no_copy_of_its_pool_or_subset(monkeypatch):
     """Scoring 4 047 distinct subsets of an 18-channel pool in one batch,
-    with the stacks' scoring stubbed, leaves at most 250 bytes per cached
-    cost: the cost, its packed key and its dict slot, but no copy of the
+    with the stacks' scoring stubbed, leaves under 128 bytes per cached
+    cost: the float, its packed key and its dict slot, but no copy of the
     pool or of the caller's subset."""
     manifest = tuple(
         ChannelMeta(f"c{j}", ("input", "output")[j] if j < 2 else "candidate") for j in range(20)
@@ -267,14 +267,7 @@ def test_a_cached_cost_holds_no_copy_of_its_pool_or_subset(monkeypatch):
     pool = tuple(range(2, 20))
     subsets = enumerate_subsets(pool, 4)
     assert len(subsets) == 4047
-    monkeypatch.setattr(
-        ev,
-        "_score_stack",
-        lambda record, pos: [
-            CostBreakdown(J=len(s) / 7, J_state=len(s) / 11, J_output=len(s) / 13, n=len(s), p=1, L=59)
-            for s in pos
-        ],
-    )
+    monkeypatch.setattr(ev, "_score_stack", lambda record, pos: [len(s) / 7 for s in pos])
     ev.evaluate(subsets[0], pool)  # the pool's reduction, made once
     tracemalloc.start()
     try:
@@ -284,7 +277,25 @@ def test_a_cached_cost_holds_no_copy_of_its_pool_or_subset(monkeypatch):
     finally:
         tracemalloc.stop()
     assert len(ev.searched_pool(pool).costs) == len(subsets)
-    assert held / (len(subsets) - 1) < 250
+    assert held / (len(subsets) - 1) < 128
+
+
+def test_a_record_keeps_one_float_per_subset(coupled_split, coupled_kept):
+    """Every cost a record keeps is a Python float, and ``breakdown`` scores
+    a subset bit for bit as the record does, with one fit, without reading
+    or filling the record."""
+    train, _ = coupled_split
+    for pool in (coupled_kept[:6], None):
+        subsets = enumerate_subsets(coupled_kept[:6], 2)
+        ev = SubsetEvaluator(train)
+        js = evaluate_subsets(subsets, ev, pool=pool)
+        record = ev.searched_pool(pool)
+        assert all(type(j) is float for j in record.costs.values())
+        kept, fits = dict(record.costs), ev.fit_count
+        for s, j in zip(subsets, js):
+            b = ev.breakdown(s[::-1], pool)
+            assert (math.inf if b is None else b.J) == j
+        assert record.costs == kept and ev.fit_count == fits + len(subsets)
 
 
 def chain_dataset(rng, c):

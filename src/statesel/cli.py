@@ -5,12 +5,17 @@ configs; command-line flags override file values, and the worker count can
 also come from the ``STATESEL_WORKERS`` environment variable (flag beats
 environment beats file). The effective configuration is echoed into the
 output directory so every run is reproducible from its artifacts.
+
+Each command imports only the modules it runs: ``prefilter`` loads
+``prefilter``, ``predict`` loads ``dmdc`` and ``cost``, ``select`` loads the
+selection stack with ``rfe`` only for an RFE search and ``ga`` only for a GA
+search, ``generate`` loads ``benchgen``, and ``report`` loads nothing more
+than this module's own imports.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import types
@@ -18,14 +23,13 @@ import typing
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
-from .cost import rollout_traces
-from .datamodel import SplitSpec, emit, ingest, read_json, split, write_csv, write_json
-from .dmdc import StateSpaceModel, TruncationPolicy, load_model, save_model
+from .datamodel import SplitSpec, emit, ingest, json_object, read_json, split, write_csv, write_json
 from .errors import DatasetError
-from .ga import GAConfig, ga_select
-from .prefilter import PrefilterConfig, prefilter, write_report_csv
-from .rfe import RFEConfig, rfe_select
-from .selection import SubsetEvaluator
+
+if typing.TYPE_CHECKING:
+    from .dmdc import StateSpaceModel
+    from .ga import GAConfig
+    from .rfe import RFEConfig
 
 ENV_WORKERS = "STATESEL_WORKERS"
 
@@ -50,7 +54,10 @@ class RunConfig:
     ga: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        _check_types(self)
+        from .dmdc import TruncationPolicy
+        from .prefilter import PrefilterConfig
+
+        _check_types(type(self), vars(self))
         data = [self.data] if isinstance(self.data, str) else self.data
         if not data or not all(isinstance(p, str) for p in data):
             raise ValueError(f"data must be a path or a nonempty list of paths, got {self.data!r}")
@@ -60,13 +67,13 @@ class RunConfig:
         if not caps or not all(type(c) is int and c > 0 for c in caps) or len(set(caps)) < len(caps):
             raise ValueError(f"caps must be distinct positive integers, got {caps}")
         SplitSpec(self.train_fraction)
-        _check_types(PrefilterConfig(**self.prefilter))
-        _check_types(TruncationPolicy(**self.truncation))
+        _build(PrefilterConfig, **self.prefilter)
+        _build(TruncationPolicy, **self.truncation)
         if self.cost.keys() - {"scale_floor"} or not self.cost.get("scale_floor", 1.0) > 0:
             raise ValueError(f"cost takes one positive scale_floor, got {self.cost}")
         for cap in caps:
             for method in self.methods:
-                _check_types(self.search(method, cap))
+                self.search(method, cap)
 
     @classmethod
     def load(cls, path: str | Path, overrides: dict | None = None) -> "RunConfig":
@@ -85,19 +92,33 @@ class RunConfig:
     def search(self, method: str, cap: int) -> RFEConfig | GAConfig:
         """The settings of ``method``'s search at ``cap``."""
         if method == "rfe":
-            return RFEConfig(max_states=cap, **self.rfe)
-        return GAConfig(max_states=cap, seed=self.seed, **self.ga)
+            from .rfe import RFEConfig
+
+            return _build(RFEConfig, max_states=cap, **self.rfe)
+        from .ga import GAConfig
+
+        return _build(GAConfig, max_states=cap, seed=self.seed, **self.ga)
 
 
-def _check_types(cfg) -> None:
-    """Refuse a field of the dataclass ``cfg`` not of its declared type; an
-    integer passes for a float, a boolean for no number."""
-    for name, hint in typing.get_type_hints(type(cfg)).items():
+def _check_types(cls, values: dict) -> None:
+    """Refuse a value for a field of the dataclass ``cls`` not of the field's
+    declared type; an integer passes for a float, a boolean for no number.
+    A name that is no field is left for ``cls`` to refuse."""
+    for name, hint in typing.get_type_hints(cls).items():
+        if name not in values:
+            continue
         union = typing.get_args(hint) if isinstance(hint, types.UnionType) else (hint,)
         allowed = tuple(typing.get_origin(t) or t for t in union) + ((int,) if float in union else ())
-        value = getattr(cfg, name)
+        value = values[name]
         if not isinstance(value, allowed) or isinstance(value, bool) and bool not in allowed:
             raise ValueError(f"{name} must be {' or '.join(t.__name__ for t in allowed)}, got {value!r}")
+
+
+def _build(cls, /, **values):
+    """``cls(**values)``, with every value checked against its field's type
+    first, so that no check in ``cls`` compares a value of another type."""
+    _check_types(cls, values)
+    return cls(**values)
 
 
 def _check_out(out: str | Path, overwrite: bool) -> Path:
@@ -162,7 +183,13 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_prefilter(args: argparse.Namespace) -> int:
-    cfg = PrefilterConfig(**json.loads(args.config)) if args.config else PrefilterConfig()
+    from .prefilter import PrefilterConfig, prefilter, write_report_csv
+
+    doc = json_object(args.config, "--config") if args.config else {}
+    try:
+        cfg = _build(PrefilterConfig, **doc)
+    except (TypeError, ValueError) as exc:
+        raise DatasetError(f"--config: {exc}") from exc
     train, _ = split(ingest(args.data, args.manifest), SplitSpec(args.train_fraction))
     report = prefilter(train, cfg)
     write_report_csv(report, train, args.out)
@@ -185,6 +212,11 @@ def _write_trace_csv(path: str | Path, model: StateSpaceModel, rows) -> None:
 
 
 def cmd_select(args: argparse.Namespace) -> int:
+    from .cost import rollout_traces
+    from .dmdc import TruncationPolicy, save_model
+    from .prefilter import PrefilterConfig, prefilter, write_report_csv
+    from .selection import SubsetEvaluator
+
     overrides = {"method": args.method, "seed": args.seed, "out": args.out}
     if args.cap:
         try:
@@ -212,7 +244,10 @@ def cmd_select(args: argparse.Namespace) -> int:
         """Run each search, write its files and yield its cost-table row."""
         for cap in cfg.caps:
             for method in cfg.methods:
-                select = rfe_select if method == "rfe" else ga_select
+                if method == "rfe":
+                    from .rfe import rfe_select as select
+                else:
+                    from .ga import ga_select as select
                 search = cfg.search(method, cap)
                 result = select(evaluator, test, report.kept, search, workers=cfg.workers)
                 tag = f"{method}_cap{cap}"
@@ -236,6 +271,9 @@ def cmd_select(args: argparse.Namespace) -> int:
 def cmd_predict(args: argparse.Namespace) -> int:
     if args.horizon < 0:
         raise ValueError(f"--horizon must not be negative, got {args.horizon}")
+    from .cost import rollout_traces
+    from .dmdc import load_model
+
     model = load_model(args.model)
     _, test = split(ingest(args.data, args.manifest), SplitSpec(args.train_fraction))
     if test.dt != model.dt:
@@ -251,7 +289,10 @@ def cmd_report(args: argparse.Namespace) -> int:
     table = Path(args.run) / "cost_table.csv"
     if not table.exists():
         raise DatasetError(f"no cost_table.csv under {args.run}")
-    text = table.read_text(encoding="utf-8")
+    try:
+        text = table.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"{table}: not UTF-8 text: {exc}") from exc
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     sys.stdout.write(text)

@@ -201,16 +201,26 @@ class SnapshotSet:
 def read_json(path: str | Path) -> dict:
     """The JSON object in ``path``; a file that holds none, or that holds
     ``NaN`` or ``Infinity`` (which are not JSON), is named."""
+    try:
+        text = Path(path).read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"{path}: not a JSON document: {exc}") from exc
+    return json_object(text, path)
+
+
+def json_object(text: str, source: str | Path) -> dict:
+    """The JSON object ``text`` holds; text that holds none, or that holds
+    ``NaN`` or ``Infinity`` (which are not JSON), is an error naming ``source``."""
 
     def refuse(constant: str):
-        raise DatasetError(f"{path}: {constant} is not a JSON value")
+        raise DatasetError(f"{source}: {constant} is not a JSON value")
 
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8-sig"), parse_constant=refuse)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise DatasetError(f"{path}: not a JSON document: {exc}") from exc
+        doc = json.loads(text, parse_constant=refuse)
+    except json.JSONDecodeError as exc:
+        raise DatasetError(f"{source}: not a JSON document: {exc}") from exc
     if not isinstance(doc, dict):
-        raise DatasetError(f"{path}: not a JSON object")
+        raise DatasetError(f"{source}: not a JSON object")
     return doc
 
 

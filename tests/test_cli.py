@@ -432,8 +432,9 @@ class TestSelectChecksFirst:
             ({"ga": {"population_size": 1}}, "population_size must be at least 2"),
             ({"cost": {"scale_floor": 0}}, "scale_floor"),
             ({"train_fraction": 1.5}, "train_fraction must be in (0,1), got 1.5"),
+            ({"prefilter": {"input_corr_threshold": "0.9"}}, "input_corr_threshold must be float or int, got '0.9'"),
         ],
-        ids=["rfe_key", "ga_population", "scale_floor", "train_fraction"],
+        ids=["rfe_key", "ga_population", "scale_floor", "train_fraction", "prefilter_text"],
     )
     def test_bad_setting(self, data, tmp_path, capsys, edit, message):
         assert self.select(data, tmp_path, edit) == 1
@@ -904,6 +905,12 @@ class TestReportAndPrefilter:
     def test_report_missing_run(self, tmp_path, capsys):
         assert main(["report", "--run", str(tmp_path)]) == 1
 
+    def test_report_names_a_table_that_is_not_utf8(self, tmp_path, capsys):
+        table = tmp_path / "cost_table.csv"
+        table.write_bytes(b"method,cap\n\xff\xfe\n")
+        assert main(["report", "--run", str(tmp_path)]) == 1
+        assert f"error: {table}: not UTF-8 text" in capsys.readouterr().err
+
     def test_prefilter_subcommand(self, tmp_path):
         data = tmp_path / "data"
         write_small_rlc(data)
@@ -921,16 +928,44 @@ class TestReportAndPrefilter:
         assert lines[0].startswith("index,name,decision")
         assert len(lines) == 44  # header + 43 candidates
 
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ('{"dedupe_enabled": "no"}', "dedupe_enabled must be bool, got 'no'"),  # ran with dedupe on
+            ('{"input_corr_threshold": "0.9"}', "input_corr_threshold must be float or int, got '0.9'"),
+            ('{"input_corr_threshold": 1.5}', "input_corr_threshold must be in (0, 1]"),
+            ('{"dedupe": false}', "unexpected keyword argument 'dedupe'"),
+            ("[1]", "not a JSON object"),
+            ("{bad", "not a JSON document"),
+            ('{"input_corr_threshold": NaN}', "NaN is not a JSON value"),
+            ('{"variance_epsilon": Infinity}', "Infinity is not a JSON value"),  # kept every channel
+        ],
+        ids=["bool_text", "float_text", "out_of_range", "unknown_key", "not_an_object", "not_json", "nan", "inf"],
+    )
+    def test_prefilter_config_is_checked_as_select_checks_it(self, tmp_path, capsys, config, message):
+        data = tmp_path / "data"
+        write_small_rlc(data)
+        out = tmp_path / "report.csv"
+        args = ["--data", str(data), "--manifest", str(data / "manifest.json"), "--out", str(out)]
+        assert main(["prefilter", *args, "--config", config]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --config: ") and message in err
+        assert not out.exists()
+
 
 class TestColdStart:
     """Commands run in a fresh interpreter, which then holds no scipy module;
-    only ``generate`` loads the simulators of ``statesel.benchgen``, and a
-    one-worker ``select`` loads neither ``concurrent.futures`` nor ``numpy.ma``."""
+    only ``generate`` loads the simulators of ``statesel.benchgen``, a
+    one-worker ``select`` loads neither ``concurrent.futures`` nor ``numpy.ma``,
+    and each command loads only the ``statesel`` modules it runs."""
 
     PRELUDE = [
         "import sys",
         "def scipy_modules():",
         "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')",
+        "def loaded(*names):",
+        "    return [m for m in names if m in sys.modules]",
+        "SELECTION = ('statesel.dmdc', 'statesel.cost', 'statesel.selection', 'statesel.rfe', 'statesel.ga', 'statistics')",
         "import statesel.cli",
         "assert not scipy_modules(), ('import', scipy_modules())",
         "assert 'statesel.benchgen' not in sys.modules, 'import'",
@@ -957,9 +992,11 @@ class TestColdStart:
             "assert statesel.cli.main(prefilter) == 0",
             "assert not scipy_modules(), ('prefilter', scipy_modules())",
             "assert 'statesel.benchgen' not in sys.modules, 'prefilter'",
+            "assert not loaded(*SELECTION), ('prefilter', loaded(*SELECTION))",
             "assert statesel.cli.main(['report', '--run', sys.argv[4]]) == 0",
             "assert not scipy_modules(), ('report', scipy_modules())",
             "assert 'statesel.benchgen' not in sys.modules, 'report'",
+            "assert not loaded(*SELECTION), ('report', loaded(*SELECTION))",
         ]
         self.run_fresh(script, [data, data / "manifest.json", tmp_path / "report.csv", run])
         assert len((tmp_path / "report.csv").read_text().splitlines()) == 44
@@ -994,6 +1031,27 @@ class TestColdStart:
         self.run_fresh(script, args)
         assert (run / "selection_ga_cap3.json").exists()
         assert len((tmp_path / "t.csv").read_text().splitlines()) > 1
+
+    @pytest.mark.parametrize(
+        "command, unused",
+        [
+            ("predict", ["statesel.selection", "statesel.rfe", "statesel.ga"]),
+            ("rfe", ["statesel.ga", "statistics"]),
+            ("ga", ["statesel.rfe"]),
+        ],
+    )
+    def test_predict_and_each_selector_load_only_their_modules(self, synth_run, tmp_path, command, unused):
+        root, config, _ = synth_run
+        if command == "predict":
+            args = ["predict", "--model", root / "run" / "model_rfe_cap3.json", "--data", root / "data",
+                    "--manifest", root / "data" / "manifest.json", "--horizon", 5, "--out", tmp_path / "t.csv"]
+        else:
+            args = ["select", "--config", config, "--method", command, "--out", tmp_path / "run"]
+        script = [
+            "assert statesel.cli.main(sys.argv[1:]) == 0",
+            f"assert not loaded(*{unused!r}), loaded(*{unused!r})",
+        ]
+        self.run_fresh(script, args)
 
     def test_generate_loads_only_scipy_linalg(self, tmp_path):
         rlc = tmp_path / "rlc.json"

@@ -6,11 +6,12 @@ also come from the ``STATESEL_WORKERS`` environment variable (flag beats
 environment beats file). The effective configuration is echoed into the
 output directory so every run is reproducible from its artifacts.
 
-Each command imports only the modules it runs: ``prefilter`` loads
-``prefilter``, ``predict`` loads ``dmdc`` and ``cost``, ``select`` loads the
-selection stack with ``rfe`` only for an RFE search and ``ga`` only for a GA
-search, ``generate`` loads ``benchgen``, and ``report`` loads nothing more
-than this module's own imports.
+Every command loads ``datamodel``, ``errors``, ``prefilter``, ``dmdc`` and
+``cost`` with this module, so that a tracer installed after ``import
+statesel.cli`` finds the model and rollout functions loaded. The search
+stack loads only where it runs: ``select`` loads ``selection``, with ``rfe``
+only for an RFE search and ``ga`` only for a GA search, and ``generate``
+loads ``benchgen``.
 """
 
 from __future__ import annotations
@@ -23,11 +24,13 @@ import typing
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
+from .cost import rollout_traces
 from .datamodel import SplitSpec, emit, ingest, json_object, read_json, split, write_csv, write_json
+from .dmdc import StateSpaceModel, TruncationPolicy, load_model, save_model
 from .errors import DatasetError
+from .prefilter import PrefilterConfig, prefilter, write_report_csv
 
 if typing.TYPE_CHECKING:
-    from .dmdc import StateSpaceModel
     from .ga import GAConfig
     from .rfe import RFEConfig
 
@@ -54,9 +57,6 @@ class RunConfig:
     ga: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        from .dmdc import TruncationPolicy
-        from .prefilter import PrefilterConfig
-
         _check_types(type(self), vars(self))
         data = [self.data] if isinstance(self.data, str) else self.data
         if not data or not all(isinstance(p, str) for p in data):
@@ -183,8 +183,6 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_prefilter(args: argparse.Namespace) -> int:
-    from .prefilter import PrefilterConfig, prefilter, write_report_csv
-
     doc = json_object(args.config, "--config") if args.config else {}
     try:
         cfg = _build(PrefilterConfig, **doc)
@@ -212,9 +210,6 @@ def _write_trace_csv(path: str | Path, model: StateSpaceModel, rows) -> None:
 
 
 def cmd_select(args: argparse.Namespace) -> int:
-    from .cost import rollout_traces
-    from .dmdc import TruncationPolicy, save_model
-    from .prefilter import PrefilterConfig, prefilter, write_report_csv
     from .selection import SubsetEvaluator
 
     overrides = {"method": args.method, "seed": args.seed, "out": args.out}
@@ -271,9 +266,6 @@ def cmd_select(args: argparse.Namespace) -> int:
 def cmd_predict(args: argparse.Namespace) -> int:
     if args.horizon < 0:
         raise ValueError(f"--horizon must not be negative, got {args.horizon}")
-    from .cost import rollout_traces
-    from .dmdc import load_model
-
     model = load_model(args.model)
     _, test = split(ingest(args.data, args.manifest), SplitSpec(args.train_fraction))
     if test.dt != model.dt:

@@ -957,7 +957,7 @@ class TestColdStart:
     """Commands run in a fresh interpreter, which then holds no scipy module;
     only ``generate`` loads the simulators of ``statesel.benchgen``, a
     one-worker ``select`` loads neither ``concurrent.futures`` nor ``numpy.ma``,
-    and each command loads only the ``statesel`` modules it runs."""
+    and only the commands that search load the search stack."""
 
     PRELUDE = [
         "import sys",
@@ -965,7 +965,7 @@ class TestColdStart:
         "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')",
         "def loaded(*names):",
         "    return [m for m in names if m in sys.modules]",
-        "SELECTION = ('statesel.dmdc', 'statesel.cost', 'statesel.selection', 'statesel.rfe', 'statesel.ga', 'statistics')",
+        "SELECTION = ('statesel.selection', 'statesel.rfe', 'statesel.ga', 'statistics')",
         "import statesel.cli",
         "assert not scipy_modules(), ('import', scipy_modules())",
         "assert 'statesel.benchgen' not in sys.modules, 'import'",
@@ -980,6 +980,10 @@ class TestColdStart:
             timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
+
+    def test_import_loads_the_model_and_rollout_modules(self):
+        # a tracer installed after ``import statesel.cli`` rebinds their names
+        self.run_fresh(["assert loaded('statesel.dmdc', 'statesel.cost') == ['statesel.dmdc', 'statesel.cost']"], [])
 
     def test_import_prefilter_and_report_load_no_scipy(self, tmp_path):
         data = tmp_path / "data"

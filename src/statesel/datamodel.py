@@ -21,18 +21,31 @@ File formats, decided here alone (UTF-8 text; readers skip a leading BOM):
   ``{"dt_seconds": float, "channels": [{"name", "role", "subsystem"}, ...]}``,
   a model, a selection, a run's config, a generator spec and its truth;
 * output CSVs (``write_csv``): the data CSVs ``emit`` writes, the prefilter
-  report, the cost table and the traces; a float cell is its ``repr``.
+  report, the cost table and the traces; a float cell is its ``repr``;
+* the parse cache: each data CSV parsed cleanly leaves its rows, float64 in
+  file column order, as ``<digest>.npy`` under
+  ``$XDG_CACHE_HOME/statesel/csv-v1`` (by default ``~/.cache``), named by
+  the BLAKE2b digest of the file's bytes; a later read of the same bytes
+  loads them instead of parsing. The cache never changes a result and
+  never fails a command: an entry that cannot be read is parsed again, one
+  that cannot be written is left out, and the least recently used entries
+  go once the directory holds more than ``CACHE_LIMIT_BYTES``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
 import json
 import math
+import os
+import tempfile
 import warnings
+from _blake2 import blake2b  # the type hashlib.blake2b returns, without loading OpenSSL as hashlib does
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, BinaryIO, Iterable, Sequence, TextIO
 
 import numpy as np
 
@@ -294,40 +307,142 @@ def _column_order(path: Path, head: str, manifest: Sequence[ChannelMeta]) -> lis
 def _read_csv_realization(path: Path, manifest: Sequence[ChannelMeta]) -> np.ndarray:
     """One data CSV as ``channels x steps`` in manifest order.
 
-    One ``np.loadtxt`` parses the rows straight from the open file, so the
-    file's text is never held whole. Its result is returned only when it is
-    what ``_scan_csv_lines`` would return: one row per nonblank line (a
-    quoted cell can span lines), every row as wide as the header, at least 2
-    rows, all finite. Otherwise, or if the text is not UTF-8,
-    ``_scan_csv_lines`` reads the file again and names the first defect.
+    The open file is read once in binary for its key in the parse cache (the
+    BLAKE2b digest of its bytes), then from the start as text. The header
+    always gives the column order against ``manifest``, so a cached file
+    read under another manifest is reordered, or refused, as a parsed one
+    is. The rows come from the cache when it holds the key (``_cached``).
+    Otherwise ``_parse_rows`` reads them, and a clean parse is cached
+    (``_store``); a file it cannot parse cleanly, or whose text is not UTF-8,
+    is read again by ``_scan_csv_lines``, which names the first defect, and
+    is never cached.
     """
-    with open(path, encoding="utf-8-sig") as fh:
-        try:
-            head = fh.readline()
-        except UnicodeDecodeError:  # in the first block of text, decoded with the header
-            return _scan_csv_lines(path, manifest)
-        if not head:
-            raise DatasetError(f"{path}: empty file")
-        order = _column_order(path, head.removesuffix("\n"), manifest)
-        lines = 0
-
-        def nonblank():
-            nonlocal lines
-            for line in fh:
-                if line != "\n":
-                    lines += 1
-                    yield line
-
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # loadtxt warns on no rows
-                vals = np.loadtxt(nonblank(), delimiter=",", quotechar='"', comments=None, ndmin=2)
-        except ValueError:  # a decoding error is one too
-            vals = None
-        if vals is None or lines < 2 or vals.shape != (lines, len(order)) or not np.isfinite(vals).all():
-            return _scan_csv_lines(path, manifest)
+    with open(path, "rb") as raw:
+        before = os.fstat(raw.fileno())
+        key = _digest(raw)
+        with io.TextIOWrapper(raw, encoding="utf-8-sig") as fh:
+            try:
+                head = fh.readline()
+            except UnicodeDecodeError:  # in the first block of text, decoded with the header
+                return _scan_csv_lines(path, manifest)
+            if not head:
+                raise DatasetError(f"{path}: empty file")
+            order = _column_order(path, head.removesuffix("\n"), manifest)
+            vals = _cached(key, len(order))
+            if vals is None:
+                vals = _parse_rows(fh, len(order))
+                if vals is None:
+                    return _scan_csv_lines(path, manifest)
+                # the rows are those of the digested bytes unless the file was written meanwhile
+                after = os.fstat(raw.fileno())
+                if (before.st_size, before.st_mtime_ns) == (after.st_size, after.st_mtime_ns):
+                    _store(key, vals)
     # a reorder copies the rows, so it is made only for columns out of order
     return (vals if order == sorted(order) else vals[:, order]).T
+
+
+def _digest(raw: BinaryIO) -> str:
+    """The BLAKE2b digest of binary file ``raw``, read in 1 MB blocks; leaves
+    ``raw`` at its start."""
+    digest, block = blake2b(digest_size=32), bytearray(1 << 20)
+    view = memoryview(block)
+    while n := raw.readinto(block):
+        digest.update(view[:n])
+    raw.seek(0)
+    return digest.hexdigest()
+
+
+def _parse_rows(fh: TextIO, width: int) -> np.ndarray | None:
+    """The rest of the data CSV ``fh`` as ``steps x columns`` in file column
+    order, parsed by one ``np.loadtxt`` straight from the open file, so the
+    file's text is never held whole. None unless it is what
+    ``_scan_csv_lines`` would return: one row per nonblank line (a quoted
+    cell can span lines), every row ``width`` cells wide, at least 2 rows,
+    all finite."""
+    lines = 0
+
+    def nonblank():
+        nonlocal lines
+        for line in fh:
+            if line != "\n":
+                lines += 1
+                yield line
+
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # loadtxt warns on no rows
+            vals = np.loadtxt(nonblank(), delimiter=",", quotechar='"', comments=None, ndmin=2)
+    except ValueError:  # a decoding error is one too
+        return None
+    if lines < 2 or vals.shape != (lines, width) or not np.isfinite(vals).all():
+        return None
+    return vals
+
+
+CACHE_LIMIT_BYTES = 1 << 30  # the parse cache's size bound
+
+
+def _cache_dir() -> Path:
+    """The parse cache's directory; OSError if no absolute one is known."""
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):  # the XDG rule: a relative value is ignored
+        base = os.path.join(os.path.expanduser("~"), ".cache")
+        if not os.path.isabs(base):
+            raise OSError("no home directory to hold the parse cache")
+    return Path(base, "statesel", "csv-v1")
+
+
+def _cached(key: str, width: int) -> np.ndarray | None:
+    """The rows cached under ``key`` if they are a float64 matrix ``width``
+    columns wide, else None; a hit marks the entry as just used."""
+    try:
+        entry = _cache_dir() / f"{key}.npy"
+        with open(entry, "rb") as fh:
+            vals = np.lib.format.read_array(fh, allow_pickle=False)
+    except (OSError, ValueError):  # absent, unreadable, truncated or not an .npy file
+        return None
+    if vals.dtype != np.float64 or vals.ndim != 2 or vals.shape[1] != width:
+        return None
+    with contextlib.suppress(OSError):
+        os.utime(entry)
+    return vals
+
+
+def _store(key: str, vals: np.ndarray) -> None:
+    """Cache ``vals`` under ``key``, then drop the least recently used
+    entries until the cache holds at most ``CACHE_LIMIT_BYTES``. The entry
+    is written to a temporary file and renamed, so a reader never sees part
+    of one; if any step fails, the cache is left without it."""
+    tmp = None
+    try:
+        directory = _cache_dir()
+        directory.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=directory)
+        with open(fd, "wb") as fh:
+            np.lib.format.write_array(fh, vals, allow_pickle=False)
+        os.replace(tmp, directory / f"{key}.npy")
+        tmp = None
+        _evict(directory)
+    except OSError:
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+
+
+def _evict(directory: Path) -> None:
+    """Remove the files of ``directory`` in order of last use, oldest first,
+    until the rest hold at most ``CACHE_LIMIT_BYTES``."""
+    files = []
+    with os.scandir(directory) as it:
+        for e in it:
+            st = e.stat()
+            files.append((st.st_mtime_ns, st.st_size, e.path))
+    total = sum(size for _, size, _ in files)
+    for _, size, path in sorted(files):
+        if total <= CACHE_LIMIT_BYTES:
+            break
+        os.remove(path)
+        total -= size
 
 
 def _scan_csv_lines(path: Path, manifest: Sequence[ChannelMeta]) -> np.ndarray:
@@ -377,7 +492,9 @@ def ingest(data: str | Path | Sequence[str | Path], manifest_path: str | Path) -
 
     ``data`` may be one CSV path, a directory (all ``*.csv`` in sorted order),
     or an explicit sequence of paths; realizations keep file order. The
-    sampling step comes from the manifest, never from the data rows.
+    sampling step comes from the manifest, never from the data rows. A file
+    read before, byte for byte, is loaded from the parse cache instead of
+    parsed (see the module docstring).
     """
     dt, manifest = load_manifest(manifest_path)
     if isinstance(data, (str, Path)):

@@ -61,6 +61,17 @@ def default_decoupled_spec() -> SynthSystemSpec:
     return replace(coupled, subsystems=blocks, couplings=())
 
 
+@pytest.fixture(scope="session", autouse=True)
+def parse_cache(tmp_path_factory):
+    """Every ``ingest`` of the session, and every command a test starts,
+    keeps its parse cache in a temporary directory, not the user's
+    ``~/.cache``. Returns the cache's ``statesel/csv-v1`` directory."""
+    with pytest.MonkeyPatch.context() as mp:
+        base = tmp_path_factory.mktemp("xdg_cache")
+        mp.setenv("XDG_CACHE_HOME", str(base))
+        yield base / "statesel" / "csv-v1"
+
+
 @pytest.fixture(scope="session")
 def rlc_dataset():
     return simulate_rlc()

@@ -15,6 +15,7 @@ from statesel.benchgen import (
     SquareWaveSpec,
     simulate_rlc,
 )
+from statesel import datamodel
 from statesel.cli import RunConfig, main
 from statesel.cost import rollout_traces
 from statesel.datamodel import ChannelMeta, SplitSpec, TimeSeriesDataset, emit, ingest, load_manifest, split
@@ -957,7 +958,10 @@ class TestColdStart:
     """Commands run in a fresh interpreter, which then holds no scipy module;
     only ``generate`` loads the simulators of ``statesel.benchgen``, a
     one-worker ``select`` loads neither ``concurrent.futures`` nor ``numpy.ma``,
-    and only the commands that search load the search stack."""
+    only the commands that search load the search stack, and ``prefilter``,
+    ``predict`` and an RFE ``select`` load no ``hashlib``, which loads
+    OpenSSL. (The GA's ``numpy.random`` loads it, through ``secrets`` and
+    ``hmac``.)"""
 
     PRELUDE = [
         "import sys",
@@ -997,6 +1001,7 @@ class TestColdStart:
             "assert not scipy_modules(), ('prefilter', scipy_modules())",
             "assert 'statesel.benchgen' not in sys.modules, 'prefilter'",
             "assert not loaded(*SELECTION), ('prefilter', loaded(*SELECTION))",
+            "assert not loaded('hashlib', '_hashlib'), ('prefilter', loaded('hashlib', '_hashlib'))",
             "assert statesel.cli.main(['report', '--run', sys.argv[4]]) == 0",
             "assert not scipy_modules(), ('report', scipy_modules())",
             "assert 'statesel.benchgen' not in sys.modules, 'report'",
@@ -1039,8 +1044,8 @@ class TestColdStart:
     @pytest.mark.parametrize(
         "command, unused",
         [
-            ("predict", ["statesel.selection", "statesel.rfe", "statesel.ga"]),
-            ("rfe", ["statesel.ga", "statistics"]),
+            ("predict", ["statesel.selection", "statesel.rfe", "statesel.ga", "hashlib", "_hashlib"]),
+            ("rfe", ["statesel.ga", "statistics", "hashlib", "_hashlib"]),
             ("ga", ["statesel.rfe"]),
         ],
     )
@@ -1102,3 +1107,64 @@ class TestColdStart:
         args = [spec, data, tmp_path / "run.json", run, tmp_path / "t.csv", tmp_path / "table.csv"]
         self.run_fresh(script, args, ["-X", "warn_default_encoding", "-W", "error::EncodingWarning"])
         assert (tmp_path / "table.csv").read_text().startswith("method,cap")
+
+
+class TestParseCache:
+    """``prefilter``, ``select`` and ``predict`` write the same bytes whether
+    the parse cache is cold, warm or cannot be written, and no command
+    writes anywhere but its outputs and the cache."""
+
+    @staticmethod
+    def run_commands(data, out):
+        """prefilter, select and predict on ``data``; returns every output file's bytes."""
+        out.mkdir()
+        manifest = str(data / "manifest.json")
+        cfg = {
+            "data": str(data),
+            "manifest": manifest,
+            "out": str(out / "run"),
+            "seed": 1,
+            "ga": {"population_size": 16, "restarts": 2, "stall_generations": 8, "max_generations": 40},
+        }
+        (out / "run.json").write_text(json.dumps(cfg))
+        for command in (
+            ["prefilter", "--data", str(data), "--manifest", manifest, "--out", str(out / "report.csv")],
+            ["select", "--config", str(out / "run.json"), "--method", "both", "--cap", "3"],
+            ["predict", "--model", str(out / "run" / "model_rfe_cap3.json"), "--data", str(data),
+             "--manifest", manifest, "--horizon", "40", "--out", str(out / "trace.csv")],
+        ):
+            assert main(command) == 0, command[0]
+        # the select config names its own directory
+        return {
+            p.relative_to(out).as_posix(): p.read_bytes()
+            for p in sorted(out.rglob("*"))
+            if p.is_file() and p.name not in ("run.json", "config.json")
+        }
+
+    def test_cold_and_warm_runs_match_a_run_without_cache(self, tmp_path, monkeypatch):
+        data = tmp_path / "data"
+        write_small_rlc(data)
+        recording = {p.name: p.read_bytes() for p in data.iterdir()}
+        parsed, parse = [], datamodel._parse_rows
+
+        def spy(fh, width):
+            parsed.append(fh.buffer.name)
+            return parse(fh, width)
+
+        monkeypatch.setattr(datamodel, "_parse_rows", spy)
+        blocker = tmp_path / "blocked"  # a file, so no cache directory can be made under it
+        blocker.write_text("")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+        reference = self.run_commands(data, tmp_path / "uncached")
+        assert len(parsed) == 3 * 2 and blocker.read_text() == ""
+
+        cache = tmp_path / "xdg"
+        monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
+        for run, parses in (("cold", 2), ("warm", 0)):
+            parsed.clear()
+            assert self.run_commands(data, tmp_path / run) == reference, run
+            assert len(parsed) == parses, run
+        entries = sorted(p.name for p in cache.rglob("*") if p.is_file())
+        assert len(entries) == 2 and all(re.fullmatch(r"[0-9a-f]{64}\.npy", e) for e in entries)
+        assert {p.name: p.read_bytes() for p in data.iterdir()} == recording
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["blocked", "cold", "data", "uncached", "warm", "xdg"]

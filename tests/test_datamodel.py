@@ -1,12 +1,15 @@
 import json
+import os
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from statesel import datamodel
 from statesel.cost import RolloutTruth, pooled_std
 from statesel.datamodel import (
     ChannelMeta,
@@ -352,6 +355,155 @@ def test_ingest_holds_the_recording_about_twice(wide_csv):
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * ds.data.nbytes, peak / ds.data.nbytes
+
+
+class TestParseCache:
+    """Each data CSV parsed cleanly is cached as ``<digest>.npy``; a read of
+    the same bytes loads it, and the cache never changes what ``ingest``
+    returns or raises."""
+
+    @pytest.fixture
+    def cache(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+        return tmp_path / "xdg" / "statesel" / "csv-v1"
+
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        """The files ``_parse_rows`` has parsed, one name per call."""
+        seen, parse = [], datamodel._parse_rows
+
+        def spy(fh, width):
+            seen.append(Path(fh.buffer.name).name)
+            return parse(fh, width)
+
+        monkeypatch.setattr(datamodel, "_parse_rows", spy)
+        return seen
+
+    @pytest.fixture
+    def data(self, tmp_path):
+        ds = small_dataset(n_real=3, steps=50)
+        emit(ds, tmp_path / "data")
+        return ds, tmp_path / "data"
+
+    @staticmethod
+    def read(data, path=None):
+        return ingest(path or data, data / "manifest.json")
+
+    def test_hit_is_bit_identical_to_the_parse(self, cache, parses, data):
+        ds, root = data
+        miss = self.read(root)
+        assert len(parses) == 3 and len(list(cache.iterdir())) == 3
+        hit = self.read(root)
+        assert len(parses) == 3
+        assert hit.data.tobytes() == miss.data.tobytes() == ds.data.tobytes()
+
+    def test_a_changed_byte_is_a_miss(self, cache, parses, data):
+        ds, root = data
+        path = root / "realization_01.csv"
+        self.read(root, path)
+        text = path.read_bytes()
+        cell = text.split(b"\n")[3].split(b",")[2]
+        k = cell.index(b".") + 1  # the first decimal: one byte, a different double
+        changed = cell[:k] + str((int(cell[k:k + 1]) + 1) % 10).encode() + cell[k + 1:]
+        path.write_bytes(text.replace(cell, changed, 1))
+        back = self.read(root, path)
+        assert parses == [path.name, path.name] and len(list(cache.iterdir())) == 2
+        assert back.data[2, 2] == float(changed) != ds.realizations[1][2, 2]
+        assert back.data.tobytes() == read_csv_oracle(path, ds.manifest).tobytes()
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda entry: entry.write_bytes(entry.read_bytes()[:-9]),
+            lambda entry: entry.write_bytes(b"not an array file"),
+            lambda entry: np.save(entry, np.load(entry).astype(np.float32)),
+            lambda entry: np.save(entry, np.load(entry)[:, :-1]),
+            lambda entry: np.save(entry, np.load(entry).ravel()),
+        ],
+        ids=["truncated", "garbage", "float32", "narrow", "flat"],
+    )
+    def test_a_bad_entry_is_parsed_again_and_replaced(self, cache, parses, data, corrupt):
+        ds, root = data
+        path = root / "realization_00.csv"
+        self.read(root, path)
+        (entry,) = cache.iterdir()
+        good = entry.read_bytes()
+        corrupt(entry)
+        assert self.read(root, path).data.tobytes() == ds.realizations[0].tobytes()
+        assert parses == [path.name, path.name]
+        assert entry.read_bytes() == good and list(cache.iterdir()) == [entry]
+
+    def test_an_unwritable_cache_changes_nothing(self, tmp_path, monkeypatch, parses, data):
+        ds, root = data
+        # a file where the cache's parent directory should be: no directory
+        # can be made under it, whoever runs the test
+        blocker = tmp_path / "xdg"
+        blocker.write_text("")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+        before = sorted(tmp_path.rglob("*"))
+        for _ in range(2):
+            assert self.read(root).data.tobytes() == ds.data.tobytes()
+        assert len(parses) == 6
+        assert sorted(tmp_path.rglob("*")) == before and blocker.read_text() == ""
+
+    def test_a_cached_file_follows_another_manifest(self, cache, parses, data):
+        ds, root = data
+        path = root / "realization_02.csv"
+        self.read(root, path)
+        order = [4, 1, 3, 0, 2]
+        save_manifest(root / "other.json", ds.dt, [ds.manifest[i] for i in order])
+        back = ingest(path, root / "other.json")
+        assert len(parses) == 1
+        assert back.data.tobytes() == ds.realizations[2][order].tobytes()
+        save_manifest(root / "fewer.json", ds.dt, ds.manifest[:4])
+        with pytest.raises(DatasetError, match=r"unknown channel\(s\) \['c'\]"):
+            ingest(path, root / "fewer.json")
+
+    def test_a_defective_file_is_never_cached(self, cache, parses, data):
+        ds, root = data
+        path = root / "realization_00.csv"
+        rows = path.read_text().splitlines()
+        rows[5] = rows[5].replace(rows[5].split(",")[1], "nan", 1)
+        path.write_text("\n".join(rows) + "\n")
+        messages = []
+        for _ in range(2):
+            with pytest.raises(DatasetError) as err:
+                self.read(root, path)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1] and "row 6: non-finite value in 'y'" in messages[0]
+        assert parses == [path.name, path.name] and not cache.exists()
+
+    def test_a_file_written_during_its_parse_is_not_cached(self, cache, monkeypatch, data):
+        _, root = data
+        path = root / "realization_00.csv"
+        parse = datamodel._parse_rows
+
+        def append_then_parse(fh, width):
+            with open(path, "a") as out:
+                out.write(",".join(["1.5"] * width) + "\n")
+            return parse(fh, width)
+
+        monkeypatch.setattr(datamodel, "_parse_rows", append_then_parse)
+        assert self.read(root, path).data[:, -1].tolist() == [1.5] * 5
+        assert not cache.exists()
+
+    def test_eviction_drops_the_least_recently_used_first(self, cache, monkeypatch, data):
+        _, root = data
+        paths = [root / f"realization_{r:02d}.csv" for r in range(3)]
+        entries = []
+        for path in paths[:2]:
+            self.read(root, path)
+            entries.append(next(e for e in cache.iterdir() if e not in entries))
+        size = entries[0].stat().st_size
+        monkeypatch.setattr(datamodel, "CACHE_LIMIT_BYTES", 2 * size + size // 2)
+        for k, entry in enumerate(entries):  # both long unused, the first the longer
+            os.utime(entry, ns=(10**9 * (k + 1),) * 2)
+        self.read(root, paths[0])  # a hit makes the first the most recently used
+        self.read(root, paths[2])
+        left = sorted(cache.iterdir())
+        assert entries[1] not in left and entries[0] in left and len(left) == 2
+        assert sum(e.stat().st_size for e in left) <= datamodel.CACHE_LIMIT_BYTES
+        assert not list(cache.glob("*.tmp"))
 
 
 class TestSplit:

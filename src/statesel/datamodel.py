@@ -42,7 +42,6 @@ import math
 import os
 import tempfile
 import warnings
-from _blake2 import blake2b  # the type hashlib.blake2b returns, without loading OpenSSL as hashlib does
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, BinaryIO, Iterable, Sequence, TextIO
@@ -50,6 +49,11 @@ from typing import Any, BinaryIO, Iterable, Sequence, TextIO
 import numpy as np
 
 from .errors import DatasetError, DuplicateChannel
+
+try:  # the type hashlib.blake2b returns, without loading OpenSSL as hashlib does
+    from _blake2 import blake2b
+except ImportError:  # a private CPython module: without it, every read is a parse
+    blake2b = None
 
 ROLES = ("input", "output", "candidate")
 
@@ -311,14 +315,16 @@ def _read_csv_realization(path: Path, manifest: Sequence[ChannelMeta]) -> np.nda
     BLAKE2b digest of its bytes), then from the start as text. The header
     always gives the column order against ``manifest``, so a cached file
     read under another manifest is reordered, or refused, as a parsed one
-    is. The rows come from the cache when it holds the key (``_cached``).
-    Otherwise ``_parse_rows`` reads them, and a clean parse is cached
-    (``_store``); a file it cannot parse cleanly, or whose text is not UTF-8,
-    is read again by ``_scan_csv_lines``, which names the first defect, and
-    is never cached.
+    is. The key names the text read only while the file's stat is the one
+    it had before the digest (``_stat``); if so, the rows come from the
+    cache when it holds the key (``_cached``). Otherwise ``_parse_rows``
+    reads them, and a clean parse of the keyed bytes is cached (``_store``);
+    a file it cannot parse cleanly, or whose text is not UTF-8, is read
+    again by ``_scan_csv_lines``, which names the first defect, and is never
+    cached.
     """
     with open(path, "rb") as raw:
-        before = os.fstat(raw.fileno())
+        before = _stat(raw)
         key = _digest(raw)
         with io.TextIOWrapper(raw, encoding="utf-8-sig") as fh:
             try:
@@ -328,22 +334,30 @@ def _read_csv_realization(path: Path, manifest: Sequence[ChannelMeta]) -> np.nda
             if not head:
                 raise DatasetError(f"{path}: empty file")
             order = _column_order(path, head.removesuffix("\n"), manifest)
-            vals = _cached(key, len(order))
+            if _stat(raw) != before:
+                key = None  # written since the digest: the header may not be that of the keyed bytes
+            vals = None if key is None else _cached(key, len(order))
             if vals is None:
                 vals = _parse_rows(fh, len(order))
                 if vals is None:
                     return _scan_csv_lines(path, manifest)
-                # the rows are those of the digested bytes unless the file was written meanwhile
-                after = os.fstat(raw.fileno())
-                if (before.st_size, before.st_mtime_ns) == (after.st_size, after.st_mtime_ns):
+                if key is not None and _stat(raw) == before:  # else written during the parse
                     _store(key, vals)
     # a reorder copies the rows, so it is made only for columns out of order
     return (vals if order == sorted(order) else vals[:, order]).T
 
 
-def _digest(raw: BinaryIO) -> str:
-    """The BLAKE2b digest of binary file ``raw``, read in 1 MB blocks; leaves
-    ``raw`` at its start."""
+def _stat(raw: BinaryIO) -> tuple[int, ...]:
+    """What writing to the open file ``raw`` changes in its stat."""
+    st = os.fstat(raw.fileno())
+    return st.st_size, st.st_mtime_ns, st.st_ctime_ns
+
+
+def _digest(raw: BinaryIO) -> str | None:
+    """The BLAKE2b digest of binary file ``raw``, read in 1 MB blocks, or
+    None if this Python has no ``_blake2``; leaves ``raw`` at its start."""
+    if blake2b is None:
+        return None
     digest, block = blake2b(digest_size=32), bytearray(1 << 20)
     view = memoryview(block)
     while n := raw.readinto(block):

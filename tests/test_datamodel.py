@@ -1,6 +1,8 @@
 import json
 import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -486,6 +488,38 @@ class TestParseCache:
         monkeypatch.setattr(datamodel, "_parse_rows", append_then_parse)
         assert self.read(root, path).data[:, -1].tolist() == [1.5] * 5
         assert not cache.exists()
+
+    def test_a_file_written_after_its_digest_is_parsed(self, cache, parses, monkeypatch, data):
+        """A hit's rows are those of the digested bytes; if the file is
+        rewritten before its header is read, here with two columns swapped
+        at the same size, the rows of the new bytes are parsed instead."""
+        ds, root = data
+        path = root / "realization_00.csv"
+        self.read(root, path)
+        (entry,) = cache.iterdir()
+        rows = [line.split(",") for line in path.read_text().splitlines()]
+        swapped = "".join(",".join([r[1], r[0], *r[2:]]) + "\n" for r in rows)
+        digest = datamodel._digest
+
+        def digest_then_rewrite(raw):
+            key = digest(raw)
+            mtime = os.stat(path).st_mtime_ns
+            path.write_text(swapped)
+            os.utime(path, ns=(mtime + 10**9,) * 2)  # a later write, whatever the clock's tick
+            return key
+
+        monkeypatch.setattr(datamodel, "_digest", digest_then_rewrite)
+        assert self.read(root, path).data.tobytes() == ds.realizations[0].tobytes()
+        assert parses == [path.name, path.name] and list(cache.iterdir()) == [entry]
+
+    def test_without_blake2_every_read_is_a_parse(self, cache, parses, monkeypatch, data):
+        ds, root = data
+        block = "import sys; sys.modules['_blake2'] = None; import statesel.datamodel as m; assert m.blake2b is None"
+        subprocess.run([sys.executable, "-c", block], check=True)
+        monkeypatch.setattr(datamodel, "blake2b", None)
+        for _ in range(2):
+            assert self.read(root).data.tobytes() == ds.data.tobytes()
+        assert len(parses) == 6 and not cache.exists()
 
     def test_eviction_drops_the_least_recently_used_first(self, cache, monkeypatch, data):
         _, root = data

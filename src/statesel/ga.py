@@ -20,7 +20,6 @@ children over the cap and its bit for each empty child.
 
 from __future__ import annotations
 
-import statistics
 from dataclasses import dataclass
 from functools import partial
 from typing import Sequence
@@ -193,13 +192,16 @@ def ga_select(
     fn = partial(_run_restart, pool=pool, cfg=cfg)
     runs = run_restarts(fn, cfg.restarts, workers, evaluator=evaluator, pool=pool)
     best, trace = min(runs, key=lambda run: run[0])
-    restart_js = [key[0] for key, _ in runs]
+    restart_js = sorted(key[0] for key, _ in runs)
+    mid = len(restart_js) // 2  # the median as statistics.median takes it, without its import
     diagnostics = {
         "restart_best": [
             {"indices": list(key[2]), "J": key[0], "generations": len(t) - 1} for key, t in runs
         ],
-        "j_restart_best": min(restart_js),
-        "j_restart_median": statistics.median(restart_js),
+        "j_restart_best": restart_js[0],
+        "j_restart_median": (
+            restart_js[mid] if len(restart_js) % 2 else (restart_js[mid - 1] + restart_js[mid]) / 2
+        ),
         "trace": trace,
     }
     return finish_winner(evaluator, test, best, "ga", diagnostics)

@@ -309,11 +309,11 @@ def merged_search(
         )
     subsets = enumerate_subsets(pool, cfg.max_states)
     scores = evaluate_subsets(subsets, evaluator, workers=workers, pool=pool)
-    best = min(subset_key(j, s) for j, s in zip(scores, subsets))
+    best = int(np.argmin(scores))  # the first: by size, then lexicographic, as subset_key orders ties
     diag = dict(diagnostics or {})
     diag["subsets_examined"] = len(subsets)
     diag["merged_pool"] = list(pool)
-    return finish_winner(evaluator, test, best, "rfe", diag)
+    return finish_winner(evaluator, test, subset_key(scores[best], subsets[best]), "rfe", diag)
 
 
 def rfe_select(

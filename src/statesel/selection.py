@@ -19,23 +19,26 @@ pool's sorted channels, packed into bytes. Queries that name no pool share a
 record without either, whose rows span every channel.
 
 A search makes one batch query (``costs``) of bit rows: the sweep once, each
-GA generation once, each worker chunk once. The distinct rows the record
-lacks are scored in stacks of subsets of one size, each stack with one
-stacked fit, Schur factorization, rollout and cost, and each cost bit for bit
-the one its subset gets alone. A subset is scored by one rollout of all its
-realizations. Fits from different pools agree to round-off, not bit for bit,
-so a query reads only the costs of the pool it names, whatever other
-searches ran before it. The winner's reported model and costs come from one
-fit on its own snapshots, whatever pool found it.
+GA generation once. The query keys its rows a ``MASK_BLOCK`` block at a time
+and takes one row of each key the record lacks. Those rows are scored in
+stacks of subsets of one size, each stack with one stacked fit, Schur
+factorization, rollout and cost, and each cost bit for bit the one its subset
+gets alone: in this process, or, when the query is given workers and lacks at
+least 4 costs in a block, in chunks sent to forked workers. A subset is
+scored by one rollout of all its realizations. Fits from different pools
+agree to round-off, not bit for bit, so a query reads only the costs of the
+pool it names, whatever other searches ran before it. The winner's reported
+model and costs come from one fit on its own snapshots, whatever pool found
+it.
 
 So a cost is a pure function of (training data, pool, subset,
 configuration): a search's result depends neither on the searches before it
 nor on where its costs were computed, and every (method, cap) result of a
 run is the one that cap alone writes, for any worker count. A pool's record
 is made in the parent before the workers fork, so every worker fits from the
-parent's factor. ``evaluate_subsets``' workers return costs that land in
-the parent's record; a GA restart run in a worker returns only its result.
-Workers fit and roll out with numpy alone: nothing is imported before a fork.
+parent's factor. A query's workers return costs that land in the parent's
+record; a GA restart run in a worker returns only its result. Workers fit
+and roll out with numpy alone: nothing is imported before a fork.
 """
 
 from __future__ import annotations
@@ -135,13 +138,9 @@ class SearchedPool:
         packed = np.packbits(masks, axis=1)
         return packed.view(np.dtype((np.void, packed.shape[1]))).ravel().tolist()
 
-    def rows(self, keys: list[bytes]) -> np.ndarray:
-        """The bit row (as 0 or 1) of each key."""
-        packed = np.frombuffer(b"".join(keys), dtype=np.uint8).reshape(len(keys), -1)
-        return np.unpackbits(packed, axis=1, count=len(self.channels))
 
-
-# Subsets a batch query turns into bit rows, and then scores, at a time.
+# Rows a batch query keys, and then scores, at a time: in the parent, or in
+# workers when the block lacks at least 4 costs, with one executor per block.
 MASK_BLOCK = 2**14
 
 # Elements of a stack's rollout: subsets x states x padded steps. A stack's
@@ -204,20 +203,33 @@ class SubsetEvaluator:
         self.fit_count += 1
         return fit_model(self.train, list(subset), self.policy, self.searched_pool(pool).reduction)
 
-    def costs(self, masks: np.ndarray, pool: Sequence[int] | None = None) -> np.ndarray:
+    def costs(self, masks: np.ndarray, pool: Sequence[int] | None = None, workers: int = 1) -> np.ndarray:
         """Training cost ``J`` of the subset of each bit row of ``masks``
         (over the sorted channels of ``pool``'s record), fitted as ``fit``
         does, or +inf if the fit is degenerate or its rollout diverges.
         Memoized in ``pool``'s record: a query that names another pool never
-        reads these costs. The distinct rows not in the record are scored in
-        stacks."""
+        reads these costs. A block at a time, one row of each key the record
+        lacks is scored: in this process, or in ``workers`` forked processes
+        when there are at least 4 such rows."""
         record = self.searched_pool(pool)
         out: list[float] = []
         for a in range(0, len(masks), MASK_BLOCK):  # a block at a time, to bound the temporaries
-            keys = record.keys(masks[a : a + MASK_BLOCK])
-            new = list(dict.fromkeys(k for k in keys if k not in record.costs))
+            block = masks[a : a + MASK_BLOCK]
+            keys = record.keys(block)
+            new: dict[bytes, int] = {}  # each key the record lacks -> its first row
+            for i, k in enumerate(keys):
+                if k not in record.costs and k not in new:
+                    new[k] = i
             if new:
-                self._score(record, new)
+                rows = block[list(new.values())]
+                if workers > 1 and len(rows) >= 4:
+                    size = math.ceil(len(rows) / (workers * 4))
+                    chunks = [rows[i : i + size] for i in range(0, len(rows), size)]
+                    parts = _map_in_workers(partial(_costs, pool=pool), chunks, workers, self, pool)
+                    js = np.concatenate(parts)
+                else:
+                    js = self._score(record, rows)
+                record.costs.update(zip(new, js.tolist()))
             out += map(record.costs.__getitem__, keys)
         return np.array(out)
 
@@ -240,23 +252,22 @@ class SubsetEvaluator:
         b = rollout_cost(model, self.searched_pool(pool).truth or self.train, key, self.scales_for(key))
         return b if math.isfinite(b.J) else None
 
-    def _score(self, record: SearchedPool, keys: list[bytes]) -> None:
-        """Score the subsets of ``keys``, not in the record yet, in stacks of
-        one size, at most ``STACK_ELEMENTS`` elements each, and store their
-        costs in the record."""
-        masks = record.rows(keys)
+    def _score(self, record: SearchedPool, masks: np.ndarray) -> np.ndarray:
+        """Cost ``J`` of the subset of each bit row of ``masks``, scored in
+        stacks of one size, at most ``STACK_ELEMENTS`` elements each."""
         sizes = masks.sum(axis=1)
         steps = self.train.n_realizations * max(r.shape[1] for r in self.train.realizations)
+        J = np.empty(len(masks))
         for n in sorted(set(sizes.tolist())):
             at = np.flatnonzero(sizes == n)
             size = max(1, STACK_ELEMENTS // (n * steps))
             for a in range(0, len(at), size):
                 stack = at[a : a + size]
-                pos = np.nonzero(masks[stack])[1].reshape(len(stack), n)
-                record.costs.update(zip([keys[i] for i in stack.tolist()], self._score_stack(record, pos)))
-        self.fit_count += len(keys)
+                J[stack] = self._score_stack(record, np.nonzero(masks[stack])[1].reshape(len(stack), n))
+        self.fit_count += len(masks)
+        return J
 
-    def _score_stack(self, record: SearchedPool, pos: np.ndarray) -> list[float]:
+    def _score_stack(self, record: SearchedPool, pos: np.ndarray) -> np.ndarray:
         """Cost ``J`` of each subset of a stack, at the positions ``pos``
         (``N x n``) in the record's channels, each bit for bit what it costs
         alone (+inf if degenerate or diverged): one stacked fit, Schur
@@ -280,7 +291,7 @@ class SubsetEvaluator:
         with np.errstate(over="ignore"):  # two finite terms may sum past the largest float
             J[fitted] += scaled_mse(Yh, truth.Yp, self._sigma_y, out=Yh)
         J[~np.isfinite(J)] = np.inf
-        return J.tolist()
+        return J
 
 
 def subset_key(j: float, subset: Sequence[int]) -> tuple[float, int, tuple[int, ...]]:
@@ -350,7 +361,7 @@ def _map_in_workers(
 
 
 def _costs(masks: np.ndarray, pool: Sequence[int] | None, *, evaluator: SubsetEvaluator) -> np.ndarray:
-    return evaluator.costs(masks, pool)
+    return evaluator._score(evaluator.searched_pool(pool), masks)
 
 
 def evaluate_subsets(
@@ -359,28 +370,11 @@ def evaluate_subsets(
     workers: int = 1,
     pool: Sequence[int] | None = None,
 ) -> list[float]:
-    """Score many subsets of ``pool``, in one batch query, optionally
-    across processes.
-
-    Workers score only the distinct subsets missing from the costs of
-    ``pool``'s record, one batch query per chunk, and their costs are
-    stored there. The returned list is aligned with ``subsets`` regardless
-    of scheduling, so any reduction over it is worker-count independent.
-    """
-    record = evaluator.searched_pool(pool)
-    masks = record.masks(subsets)
-    todo = []
-    if workers > 1:
-        todo = list(dict.fromkeys(k for k in record.keys(masks) if k not in record.costs))
-    if len(todo) >= 4:
-        size = math.ceil(len(todo) / (workers * 4))
-        chunks = [todo[i : i + size] for i in range(0, len(todo), size)]
-        parts = _map_in_workers(
-            partial(_costs, pool=pool), [record.rows(c) for c in chunks], workers, evaluator, pool
-        )
-        for chunk, part in zip(chunks, parts):
-            record.costs.update(zip(chunk, part.tolist()))
-    return evaluator.costs(masks, pool).tolist()
+    """Cost of each subset of ``pool``, aligned with ``subsets``: one batch
+    query, whose missing costs are scored in ``workers`` processes when a
+    block lacks enough of them. So any reduction over the list is
+    worker-count independent."""
+    return evaluator.costs(evaluator.searched_pool(pool).masks(subsets), pool, workers).tolist()
 
 
 def run_restarts(

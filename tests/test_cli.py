@@ -958,10 +958,11 @@ class TestColdStart:
     """Commands run in a fresh interpreter, which then holds no scipy module;
     only ``generate`` loads the simulators of ``statesel.benchgen``, a
     one-worker ``select`` loads neither ``concurrent.futures`` nor ``numpy.ma``,
-    only the commands that search load the search stack, and ``prefilter``,
-    ``predict`` and an RFE ``select`` load no ``hashlib``, which loads
-    OpenSSL. (The GA's ``numpy.random`` loads it, through ``secrets`` and
-    ``hmac``.)"""
+    only the commands that search load the search stack, a GA ``select``
+    loads no ``statistics`` (nor its ``fractions`` and ``decimal``), and
+    ``prefilter``, ``predict`` and an RFE ``select`` load no ``hashlib``,
+    which loads OpenSSL. (The GA's ``numpy.random`` loads it, through
+    ``secrets`` and ``hmac``.)"""
 
     PRELUDE = [
         "import sys",
@@ -1046,7 +1047,7 @@ class TestColdStart:
         [
             ("predict", ["statesel.selection", "statesel.rfe", "statesel.ga", "hashlib", "_hashlib"]),
             ("rfe", ["statesel.ga", "statistics", "hashlib", "_hashlib"]),
-            ("ga", ["statesel.rfe"]),
+            ("ga", ["statesel.rfe", "statistics", "_statistics", "fractions", "decimal", "_decimal"]),
         ],
     )
     def test_predict_and_each_selector_load_only_their_modules(self, synth_run, tmp_path, command, unused):

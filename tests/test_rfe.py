@@ -508,6 +508,25 @@ class TestMergedSearch:
         assert subset_key(1.0, (1, 3)) < subset_key(1.0, (2, 3))
         assert subset_key(0.5, (9, 10, 11)) < subset_key(1.0, (1,))
 
+    def test_sweep_breaks_ties_by_size_then_lexicographically(self, coupled_split, coupled_kept):
+        """Four subsets of two sizes tie at the least cost, the larger listed
+        both before and after the smaller in lexicographic order: the sweep
+        picks the first single channel of them, not the last tie, not the
+        lexicographically least tuple and not the last single channel."""
+        train, test = coupled_split
+        p = sorted(coupled_kept)[:4]
+        tied = {(p[1],), (p[3],), (p[0], p[1]), (p[0], p[2]), (p[2], p[3])}
+
+        class Tied(SubsetEvaluator):
+            def costs(self, masks, pool=None, workers=1):
+                channels = np.array(self.searched_pool(pool).channels)
+                return np.array([0.5 if tuple(channels[m].tolist()) in tied else 1.0 for m in masks])
+
+        for workers in (1, 2):
+            res = merged_search(Tied(train), test, p, RFEConfig(max_states=2), workers=workers)
+            assert res.indices == (p[1],)
+            assert res.diagnostics["subsets_examined"] == 10
+
 
 class TestRfeSelect:
     def test_coupled_end_to_end(self, coupled_split, coupled_kept, coupled_dataset):

@@ -162,6 +162,34 @@ def test_cached_subsets_start_no_pool(coupled_split, coupled_kept, monkeypatch):
     assert ev.fit_count == fits
 
 
+def test_one_query_splits_each_block_between_parent_and_workers(coupled_split, coupled_kept, monkeypatch):
+    """A query of 42 rows in blocks of 8, every distinct row twice: each
+    block lacking 5 or more costs is scored in workers, bit for bit as in
+    one process, and the record keeps one cost per distinct row. A later
+    block lacking 3 costs is scored in the parent, with no pool."""
+    train, _ = coupled_split
+    pool = coupled_kept[:6]
+    monkeypatch.setattr(selection, "MASK_BLOCK", 8)
+    subsets = enumerate_subsets(pool, 2)
+    assert len(subsets) == 21
+    serial = SubsetEvaluator(train)
+    ev = SubsetEvaluator(train)
+    record = ev.searched_pool(pool)
+    masks = record.masks(subsets + subsets[::-1])
+    js = ev.costs(masks, pool, workers=2)
+    assert js.tobytes() == serial.costs(masks, pool).tobytes()
+    assert ev.fit_count == 0 and serial.fit_count == 21
+    assert set(record.costs) == set(record.keys(masks)) and len(record.costs) == 21
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool started for a block lacking 3 costs")
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
+    more = record.masks(subsets + enumerate_subsets(pool, 3)[21:24])
+    assert ev.costs(more, pool, workers=2).tobytes() == serial.costs(more, pool).tobytes()
+    assert ev.fit_count == 3 and len(record.costs) == 24
+
+
 def fitted(model):
     """The model's matrices as ``fit_stack`` returns them, a stack of one."""
     return model.Ad[None], model.Bd[None], model.Cd[None]

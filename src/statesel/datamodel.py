@@ -23,10 +23,16 @@ File formats, decided here alone (UTF-8 text; readers skip a leading BOM):
 * output CSVs (``write_csv``): the data CSVs ``emit`` writes, the prefilter
   report, the cost table and the traces; a float cell is its ``repr``;
 * the parse cache: each data CSV parsed cleanly leaves its rows, float64 in
-  file column order, as ``<digest>.npy`` under
-  ``$XDG_CACHE_HOME/statesel/csv-v1`` (by default ``~/.cache``), named by
-  the BLAKE2b digest of the file's bytes; a later read of the same bytes
-  loads them instead of parsing. The cache never changes a result and
+  file column order, as ``<dev>-<ino>-<size>-<mtime_ns>-<ctime_ns>.npy``
+  under ``$XDG_CACHE_HOME/statesel/csv-v1`` (by default ``~/.cache``),
+  keyed by the file's stat; a later read of the file unchanged loads them
+  instead of parsing. A byte-identical copy, or the same bytes written
+  again, has another stat and is parsed. An entry is kept only if it was
+  written in a later timestamp than the file last changed (git's
+  racy-timestamp rule, ``_store``), which holds while the data's
+  filesystem keeps timestamps no coarser than the cache's, as ext4, xfs,
+  btrfs and tmpfs do; so a file read as soon as it is written may be
+  parsed again on its next read. The cache never changes a result and
   never fails a command: an entry that cannot be read is parsed again, one
   that cannot be written is left out, and the least recently used entries
   go once the directory holds more than ``CACHE_LIMIT_BYTES``.
@@ -36,7 +42,6 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import io
 import json
 import math
 import os
@@ -44,16 +49,11 @@ import tempfile
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, BinaryIO, Iterable, Sequence, TextIO
+from typing import Any, Iterable, Sequence, TextIO
 
 import numpy as np
 
 from .errors import DatasetError, DuplicateChannel
-
-try:  # the type hashlib.blake2b returns, without loading OpenSSL as hashlib does
-    from _blake2 import blake2b
-except ImportError:  # a private CPython module: without it, every read is a parse
-    blake2b = None
 
 ROLES = ("input", "output", "candidate")
 
@@ -311,59 +311,45 @@ def _column_order(path: Path, head: str, manifest: Sequence[ChannelMeta]) -> lis
 def _read_csv_realization(path: Path, manifest: Sequence[ChannelMeta]) -> np.ndarray:
     """One data CSV as ``channels x steps`` in manifest order.
 
-    The open file is read once in binary for its key in the parse cache (the
-    BLAKE2b digest of its bytes), then from the start as text. The header
-    always gives the column order against ``manifest``, so a cached file
-    read under another manifest is reordered, or refused, as a parsed one
-    is. The key names the text read only while the file's stat is the one
-    it had before the digest (``_stat``); if so, the rows come from the
-    cache when it holds the key (``_cached``). Otherwise ``_parse_rows``
-    reads them, and a clean parse of the keyed bytes is cached (``_store``);
-    a file it cannot parse cleanly, or whose text is not UTF-8, is read
-    again by ``_scan_csv_lines``, which names the first defect, and is never
-    cached.
+    The file is opened once, as text; its key in the parse cache is its
+    stat when opened (``_stat``). The header always gives the column order
+    against ``manifest``, so a cached file read under another manifest is
+    reordered, or refused, as a parsed one is. The key names the header
+    read only while the file's stat is still the one it had when opened; if
+    so, the rows come from the cache when it holds the key (``_cached``).
+    Otherwise ``_parse_rows`` reads them, and a clean parse of a file whose
+    stat held through it is offered to the cache (``_store``); a file it
+    cannot parse cleanly, or whose text is not UTF-8, is read again by
+    ``_scan_csv_lines``, which names the first defect, and is never cached.
     """
-    with open(path, "rb") as raw:
-        before = _stat(raw)
-        key = _digest(raw)
-        with io.TextIOWrapper(raw, encoding="utf-8-sig") as fh:
-            try:
-                head = fh.readline()
-            except UnicodeDecodeError:  # in the first block of text, decoded with the header
-                return _scan_csv_lines(path, manifest)
-            if not head:
-                raise DatasetError(f"{path}: empty file")
-            order = _column_order(path, head.removesuffix("\n"), manifest)
-            if _stat(raw) != before:
-                key = None  # written since the digest: the header may not be that of the keyed bytes
-            vals = None if key is None else _cached(key, len(order))
+    with open(path, encoding="utf-8-sig") as fh:
+        before = _stat(fh)
+        try:
+            head = fh.readline()
+        except UnicodeDecodeError:  # in the first block of text, decoded with the header
+            return _scan_csv_lines(path, manifest)
+        if not head:
+            raise DatasetError(f"{path}: empty file")
+        order = _column_order(path, head.removesuffix("\n"), manifest)
+        # else written since it was opened: the header may not be that of the keyed file
+        key = "-".join(map(str, before)) if _stat(fh) == before else None
+        vals = None if key is None else _cached(key, len(order))
+        if vals is None:
+            vals = _parse_rows(fh, len(order))
             if vals is None:
-                vals = _parse_rows(fh, len(order))
-                if vals is None:
-                    return _scan_csv_lines(path, manifest)
-                if key is not None and _stat(raw) == before:  # else written during the parse
-                    _store(key, vals)
+                return _scan_csv_lines(path, manifest)
+            if key is not None and _stat(fh) == before:  # else written during the parse
+                _store(key, vals, before[-1])
     # a reorder copies the rows, so it is made only for columns out of order
     return (vals if order == sorted(order) else vals[:, order]).T
 
 
-def _stat(raw: BinaryIO) -> tuple[int, ...]:
-    """What writing to the open file ``raw`` changes in its stat."""
-    st = os.fstat(raw.fileno())
-    return st.st_size, st.st_mtime_ns, st.st_ctime_ns
-
-
-def _digest(raw: BinaryIO) -> str | None:
-    """The BLAKE2b digest of binary file ``raw``, read in 1 MB blocks, or
-    None if this Python has no ``_blake2``; leaves ``raw`` at its start."""
-    if blake2b is None:
-        return None
-    digest, block = blake2b(digest_size=32), bytearray(1 << 20)
-    view = memoryview(block)
-    while n := raw.readinto(block):
-        digest.update(view[:n])
-    raw.seek(0)
-    return digest.hexdigest()
+def _stat(fh: TextIO) -> tuple[int, ...]:
+    """The open file's device, inode, size, ``mtime_ns`` and ``ctime_ns``:
+    another file at its path has others, and writing to it or setting its
+    times changes them."""
+    st = os.fstat(fh.fileno())
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns
 
 
 def _parse_rows(fh: TextIO, width: int) -> np.ndarray | None:
@@ -422,11 +408,21 @@ def _cached(key: str, width: int) -> np.ndarray | None:
     return vals
 
 
-def _store(key: str, vals: np.ndarray) -> None:
-    """Cache ``vals`` under ``key``, then drop the least recently used
+def _store(key: str, vals: np.ndarray, ctime_ns: int) -> None:
+    """Cache ``vals`` under ``key``, the stat of a data file whose
+    ``st_ctime_ns`` is ``ctime_ns``, then drop the least recently used
     entries until the cache holds at most ``CACHE_LIMIT_BYTES``. The entry
     is written to a temporary file and renamed, so a reader never sees part
-    of one; if any step fails, the cache is left without it."""
+    of one; if any step fails, the cache is left without it.
+
+    git's racy-timestamp rule: the entry is kept only if its own mtime,
+    read once it is written, is later than the file's ctime, which every
+    write to the file and every ``utime`` of it sets to the current time.
+    Else the file could change again within that timestamp, at the same
+    size, and keep the key of the rows read. As in git, a second change
+    within the timestamp of the first, made while the file is read, is not
+    seen.
+    """
     tmp = None
     try:
         directory = _cache_dir()
@@ -434,6 +430,9 @@ def _store(key: str, vals: np.ndarray) -> None:
         fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=directory)
         with open(fd, "wb") as fh:
             np.lib.format.write_array(fh, vals, allow_pickle=False)
+        if os.stat(tmp).st_mtime_ns <= ctime_ns:
+            os.remove(tmp)
+            return
         os.replace(tmp, directory / f"{key}.npy")
         tmp = None
         _evict(directory)
@@ -507,8 +506,8 @@ def ingest(data: str | Path | Sequence[str | Path], manifest_path: str | Path) -
     ``data`` may be one CSV path, a directory (all ``*.csv`` in sorted order),
     or an explicit sequence of paths; realizations keep file order. The
     sampling step comes from the manifest, never from the data rows. A file
-    read before, byte for byte, is loaded from the parse cache instead of
-    parsed (see the module docstring).
+    read before and unchanged since, as its stat tells, is loaded from the
+    parse cache instead of parsed (see the module docstring).
     """
     dt, manifest = load_manifest(manifest_path)
     if isinstance(data, (str, Path)):

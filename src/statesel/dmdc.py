@@ -318,17 +318,6 @@ class PoolReduction:
         pool = check_states(ds, pool)
         return cls(tuple(pool), len(ds.input_indices), pool_factor(ds, np.array(pool)))
 
-    def snapshots(self, state_idx: Sequence[int]) -> SnapshotSet:
-        """The ``k``-column snapshot set of the pool channels ``state_idx``."""
-        c, m, R = len(self.channels), self.n_inputs, self.R
-        rows = channel_rows(self.channels, state_idx)
-        return SnapshotSet(
-            X=R[:, rows].T,
-            Xp=R[:, [c + m + r for r in rows]].T,
-            V=R[:, c : c + m].T,
-            Y=R[:, 2 * c + m :].T,
-        )
-
 
 def pool_factor(ds: TimeSeriesDataset, pools: np.ndarray) -> np.ndarray:
     """``PoolReduction.R`` of the pool ``pools`` (``c`` channels), or of each
@@ -346,12 +335,14 @@ def fit_stack(
     """The models of a stack of subsets of ``n`` states, fitted as
     ``fit_dynamics`` and ``fit_output_map`` fit each alone, bit for bit.
 
-    The snapshots are those ``PoolReduction.snapshots`` reads: of the pool
-    rows ``rows`` (``N x n``) of one pool's factor ``R`` (``k x (2c + m +
-    p)``), or, with ``rows`` None, of all ``c = n`` states of each subset's
-    own factor ``R[i]`` (``N x k x (2n + m + p)``). Returns ``(Ad, Bd, Cd,
-    fitted)``; a subset not ``fitted`` is degenerate (its ``[X; V]`` or ``X``
-    truncates to rank 0) and its matrices are zero.
+    The snapshots are slices of a factor ``R`` laid out as
+    ``PoolReduction.R``: of one pool's ``R`` (``k x (2c + m + p)``) for the
+    pool rows ``rows`` (``N x n``), or, with ``rows`` None, of each subset's
+    own ``R[i]`` (``N x k x (2n + m + p)``) for all its ``c = n`` states.
+    For state rows ``j`` they are ``X = R[:, j]^T``, ``Xp = R[:, c + m +
+    j]^T``, ``V = R[:, c : c + m]^T`` and ``Y = R[:, 2c + m :]^T``. Returns
+    ``(Ad, Bd, Cd, fitted)``; a subset not ``fitted`` is degenerate (its
+    ``[X; V]`` or ``X`` truncates to rank 0) and its matrices are zero.
 
     The two SVDs are stacked. The products are taken per group of equal
     truncation rank, so each has the shape it has alone, on operands with

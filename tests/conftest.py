@@ -1,6 +1,9 @@
 import csv
 import math
+import os
+import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from statesel.benchgen import (
 )
 from statesel.datamodel import (
     ChannelMeta,
+    SnapshotSet,
     SplitSpec,
     TimeSeriesDataset,
     assemble_snapshots,
@@ -267,6 +271,23 @@ def make_lti_dataset(rng, n_junk=2, steps=800, dt=0.1, n_realizations=2):
     return TimeSeriesDataset(dt=dt, realizations=tuple(reals), manifest=tuple(manifest))
 
 
+def settle(paths, where):
+    """Wait until a file written in the directory ``where`` gets a later
+    mtime than the ctime of each of ``paths``. A file read within the
+    timestamp of its last write leaves no entry in the parse cache (the
+    racy-timestamp rule of ``datamodel._store``), and ``os.utime`` cannot
+    date a file into the past, since it sets the ctime to now."""
+    changed = max(os.stat(p).st_ctime_ns for p in paths)
+    probe = Path(where) / "settle.probe"
+    while True:
+        probe.write_bytes(b"")
+        written = probe.stat().st_mtime_ns
+        probe.unlink()
+        if written > changed:
+            return
+        time.sleep(0.001)
+
+
 def read_csv_oracle(path, manifest):
     """Cell-by-cell ``csv`` + ``float`` reader of one data CSV: the reference
     that ``ingest``'s one-call parse must match bit for bit, diagnostics
@@ -459,6 +480,19 @@ def scan_alone(T, Q, Bd, Cd, x0, V, starts):
         return Xh, Cd @ Xh
 
 
+def reduced_snapshots(reduction, state_idx):
+    """The ``k``-column snapshot set of the pool channels ``state_idx``,
+    sliced from ``reduction.R`` as ``fit_stack`` slices it."""
+    c, m, R = len(reduction.channels), reduction.n_inputs, reduction.R
+    rows = channel_rows(reduction.channels, state_idx)
+    return SnapshotSet(
+        X=R[:, rows].T,
+        Xp=R[:, [c + m + r for r in rows]].T,
+        V=R[:, c : c + m].T,
+        Y=R[:, 2 * c + m :].T,
+    )
+
+
 def chain_breakdown(evaluator, subset, pool=None):
     """The training cost of one subset by the per-subset chain, each step
     on its own: ``fit_dynamics`` and ``fit_output_map`` on the snapshots of
@@ -468,7 +502,7 @@ def chain_breakdown(evaluator, subset, pool=None):
     stacks, which must match it bit for bit."""
     key = sorted(subset)
     record = evaluator.searched_pool(pool)
-    snaps = (record.reduction or PoolReduction.of(evaluator.train, key)).snapshots(key)
+    snaps = reduced_snapshots(record.reduction or PoolReduction.of(evaluator.train, key), key)
     try:
         Ad, Bd = fit_dynamics(snaps, evaluator.policy)
         Cd = fit_output_map(snaps.X, snaps.Y, evaluator.policy)

@@ -23,7 +23,7 @@ from statesel.dmdc import StateSpaceModel, fit_model, load_model, rollout, save_
 from statesel.errors import DatasetError
 from statesel.prefilter import prefilter
 
-from conftest import default_decoupled_spec, random_stable_discrete, simulate_discrete
+from conftest import default_decoupled_spec, random_stable_discrete, settle, simulate_discrete
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -961,8 +961,8 @@ class TestColdStart:
     only the commands that search load the search stack, a GA ``select``
     loads no ``statistics`` (nor its ``fractions`` and ``decimal``), and
     ``prefilter``, ``predict`` and an RFE ``select`` load no ``hashlib``,
-    which loads OpenSSL. (The GA's ``numpy.random`` loads it, through
-    ``secrets`` and ``hmac``.)"""
+    which loads OpenSSL, and no ``_blake2``. (The GA's ``numpy.random``
+    loads both, through ``secrets`` and ``hmac``.)"""
 
     PRELUDE = [
         "import sys",
@@ -1002,7 +1002,7 @@ class TestColdStart:
             "assert not scipy_modules(), ('prefilter', scipy_modules())",
             "assert 'statesel.benchgen' not in sys.modules, 'prefilter'",
             "assert not loaded(*SELECTION), ('prefilter', loaded(*SELECTION))",
-            "assert not loaded('hashlib', '_hashlib'), ('prefilter', loaded('hashlib', '_hashlib'))",
+            "assert not loaded('hashlib', '_hashlib', '_blake2'), ('prefilter', loaded('hashlib', '_hashlib', '_blake2'))",
             "assert statesel.cli.main(['report', '--run', sys.argv[4]]) == 0",
             "assert not scipy_modules(), ('report', scipy_modules())",
             "assert 'statesel.benchgen' not in sys.modules, 'report'",
@@ -1045,8 +1045,8 @@ class TestColdStart:
     @pytest.mark.parametrize(
         "command, unused",
         [
-            ("predict", ["statesel.selection", "statesel.rfe", "statesel.ga", "hashlib", "_hashlib"]),
-            ("rfe", ["statesel.ga", "statistics", "hashlib", "_hashlib"]),
+            ("predict", ["statesel.selection", "statesel.rfe", "statesel.ga", "hashlib", "_hashlib", "_blake2"]),
+            ("rfe", ["statesel.ga", "statistics", "hashlib", "_hashlib", "_blake2"]),
             ("ga", ["statesel.rfe", "statistics", "_statistics", "fractions", "decimal", "_decimal"]),
         ],
     )
@@ -1161,11 +1161,13 @@ class TestParseCache:
 
         cache = tmp_path / "xdg"
         monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
+        settle(list(data.iterdir()), tmp_path)
         for run, parses in (("cold", 2), ("warm", 0)):
             parsed.clear()
             assert self.run_commands(data, tmp_path / run) == reference, run
             assert len(parsed) == parses, run
         entries = sorted(p.name for p in cache.rglob("*") if p.is_file())
-        assert len(entries) == 2 and all(re.fullmatch(r"[0-9a-f]{64}\.npy", e) for e in entries)
+        # each named by its file's device, inode, size, mtime_ns and ctime_ns
+        assert len(entries) == 2 and all(re.fullmatch(r"\d+(-\d+){4}\.npy", e) for e in entries)
         assert {p.name: p.read_bytes() for p in data.iterdir()} == recording
         assert sorted(p.name for p in tmp_path.iterdir()) == ["blocked", "cold", "data", "uncached", "warm", "xdg"]

@@ -1,8 +1,7 @@
 import json
 import os
 import re
-import subprocess
-import sys
+import shutil
 import tracemalloc
 from pathlib import Path
 
@@ -31,6 +30,7 @@ from conftest import (
     pooled_std_per_realization,
     read_csv_oracle,
     rollout_truth_per_realization,
+    settle,
     snapshots_per_realization,
 )
 
@@ -360,9 +360,10 @@ def test_ingest_holds_the_recording_about_twice(wide_csv):
 
 
 class TestParseCache:
-    """Each data CSV parsed cleanly is cached as ``<digest>.npy``; a read of
-    the same bytes loads it, and the cache never changes what ``ingest``
-    returns or raises."""
+    """Each data CSV parsed cleanly is cached under its stat; a later read
+    of the file unchanged loads it, and the cache never changes what
+    ``ingest`` returns or raises. Files are ``settle``d before a read that
+    must store its entry."""
 
     @pytest.fixture
     def cache(self, tmp_path, monkeypatch):
@@ -384,7 +385,7 @@ class TestParseCache:
     @pytest.fixture
     def data(self, tmp_path):
         ds = small_dataset(n_real=3, steps=50)
-        emit(ds, tmp_path / "data")
+        settle(emit(ds, tmp_path / "data"), tmp_path)
         return ds, tmp_path / "data"
 
     @staticmethod
@@ -408,6 +409,7 @@ class TestParseCache:
         k = cell.index(b".") + 1  # the first decimal: one byte, a different double
         changed = cell[:k] + str((int(cell[k:k + 1]) + 1) % 10).encode() + cell[k + 1:]
         path.write_bytes(text.replace(cell, changed, 1))
+        settle([path], root.parent)
         back = self.read(root, path)
         assert parses == [path.name, path.name] and len(list(cache.iterdir())) == 2
         assert back.data[2, 2] == float(changed) != ds.realizations[1][2, 2]
@@ -489,37 +491,92 @@ class TestParseCache:
         assert self.read(root, path).data[:, -1].tolist() == [1.5] * 5
         assert not cache.exists()
 
-    def test_a_file_written_after_its_digest_is_parsed(self, cache, parses, monkeypatch, data):
-        """A hit's rows are those of the digested bytes; if the file is
-        rewritten before its header is read, here with two columns swapped
-        at the same size, the rows of the new bytes are parsed instead."""
+    def test_a_file_written_after_its_stat_is_parsed(self, cache, parses, monkeypatch, data):
+        """A hit's rows are those of the file whose stat is the key; if the
+        file is rewritten once that stat is taken and before its header is
+        read, here with two columns swapped at the same size, the rows of
+        the new bytes are parsed instead."""
         ds, root = data
         path = root / "realization_00.csv"
         self.read(root, path)
         (entry,) = cache.iterdir()
         rows = [line.split(",") for line in path.read_text().splitlines()]
         swapped = "".join(",".join([r[1], r[0], *r[2:]]) + "\n" for r in rows)
-        digest = datamodel._digest
+        stat, taken = datamodel._stat, []
 
-        def digest_then_rewrite(raw):
-            key = digest(raw)
-            mtime = os.stat(path).st_mtime_ns
-            path.write_text(swapped)
-            os.utime(path, ns=(mtime + 10**9,) * 2)  # a later write, whatever the clock's tick
-            return key
+        def stat_then_rewrite(fh):
+            st = stat(fh)
+            if not taken:  # the stat taken before the header
+                path.write_text(swapped)
+                os.utime(path, ns=(st[3] + 10**9,) * 2)  # a later write, whatever the clock's tick
+            taken.append(st)
+            return st
 
-        monkeypatch.setattr(datamodel, "_digest", digest_then_rewrite)
+        monkeypatch.setattr(datamodel, "_stat", stat_then_rewrite)
         assert self.read(root, path).data.tobytes() == ds.realizations[0].tobytes()
         assert parses == [path.name, path.name] and list(cache.iterdir()) == [entry]
+        # the stat before the rewrite names the entry: only the stat after the header refused the hit
+        assert entry.name == "-".join(map(str, taken[0])) + ".npy"
 
-    def test_without_blake2_every_read_is_a_parse(self, cache, parses, monkeypatch, data):
+    def test_a_file_not_older_than_its_entry_is_not_cached(self, cache, parses, monkeypatch, data):
+        """git's racy-timestamp rule: an entry whose mtime is not later than
+        the file's ctime is dropped, since the file could still change
+        within that timestamp at the same size. A later read, once the file
+        is older than the entry it writes, stores it."""
         ds, root = data
-        block = "import sys; sys.modules['_blake2'] = None; import statesel.datamodel as m; assert m.blake2b is None"
-        subprocess.run([sys.executable, "-c", block], check=True)
-        monkeypatch.setattr(datamodel, "blake2b", None)
+        path = root / "realization_00.csv"
+        stat, hour = datamodel._stat, 3600 * 10**9
+
+        def changed_in_an_hour(fh):
+            *st, ctime = stat(fh)
+            return (*st, ctime + hour)
+
+        monkeypatch.setattr(datamodel, "_stat", changed_in_an_hour)
+        assert self.read(root, path).data.tobytes() == ds.realizations[0].tobytes()
+        assert parses == [path.name] and list(cache.iterdir()) == []  # no entry, no temporary file
+        monkeypatch.setattr(datamodel, "_stat", stat)
         for _ in range(2):
-            assert self.read(root).data.tobytes() == ds.data.tobytes()
-        assert len(parses) == 6 and not cache.exists()
+            assert self.read(root, path).data.tobytes() == ds.realizations[0].tobytes()
+        assert parses == [path.name] * 2 and len(list(cache.iterdir())) == 1
+
+    @pytest.mark.parametrize("later_ns, kept", [(0, 0), (1, 1)])
+    def test_the_racy_rule_holds_to_the_nanosecond(self, cache, monkeypatch, data, later_ns, kept):
+        """An entry dated at the file's ctime is dropped; one nanosecond later, it is kept."""
+        ds, root = data
+        path = root / "realization_00.csv"
+        ctime, write = os.stat(path).st_ctime_ns, np.lib.format.write_array
+
+        def write_then_date(fh, vals, **kwargs):
+            write(fh, vals, **kwargs)
+            fh.flush()
+            os.utime(fh.fileno(), ns=(ctime + later_ns,) * 2)
+
+        monkeypatch.setattr(np.lib.format, "write_array", write_then_date)
+        assert self.read(root, path).data.tobytes() == ds.realizations[0].tobytes()
+        assert len(list(cache.iterdir())) == kept
+
+    def test_a_touched_file_is_a_miss(self, cache, parses, data):
+        """The same bytes under a new stat are parsed again."""
+        ds, root = data
+        path = root / "realization_01.csv"
+        self.read(root, path)
+        path.touch()
+        settle([path], root.parent)
+        assert self.read(root, path).data.tobytes() == ds.realizations[1].tobytes()
+        assert parses == [path.name] * 2 and len(list(cache.iterdir())) == 2
+
+    def test_a_copy_of_a_cached_file_is_a_miss(self, cache, parses, data):
+        """A byte-identical copy at another path has a stat of its own, so
+        it is parsed and cached on its own: a hit that a key made from the
+        bytes would find is lost, on purpose."""
+        ds, root = data
+        path, copy = root / "realization_02.csv", root.parent / "copy.csv"
+        self.read(root, path)
+        shutil.copyfile(path, copy)
+        settle([copy], root.parent)
+        for _ in range(2):
+            assert self.read(root, copy).data.tobytes() == ds.realizations[2].tobytes()
+        assert parses == [path.name, copy.name] and len(list(cache.iterdir())) == 2
 
     def test_eviction_drops_the_least_recently_used_first(self, cache, monkeypatch, data):
         _, root = data

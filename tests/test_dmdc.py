@@ -27,7 +27,7 @@ from statesel.dmdc import (
 )
 from statesel.errors import DegenerateSnapshots
 
-from conftest import direct_fit, fit_tol, random_stable_discrete, scan_alone, simulate_discrete
+from conftest import direct_fit, fit_tol, random_stable_discrete, reduced_snapshots, scan_alone, simulate_discrete
 
 
 def make_model(Ad, Bd, Cd, dt=0.1):
@@ -511,7 +511,7 @@ class TestStacks:
 
 def reduced_fit(ds, pool, subset, policy):
     """``direct_fit``'s result, computed from the reduction of ``pool``."""
-    s = PoolReduction.of(ds, pool).snapshots(subset)
+    s = reduced_snapshots(PoolReduction.of(ds, pool), subset)
     out = {}
     try:
         q = truncated_svd(np.vstack([s.X, s.V]), policy)[3]
